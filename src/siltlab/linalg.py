@@ -1,14 +1,17 @@
 """Exact dense linear algebra over prime fields F_p.
 
-Matrices are numpy int64 arrays with entries reduced into [0, p).  Every
-routine is deterministic: pivoting always picks the leftmost nonzero column
-and the first row carrying a nonzero entry, so results are reproducible
-bit-for-bit.
+Matrices are numpy int64 arrays with entries reduced into [0, p), and p is
+at most MAX_PRIME, so a product of two reduced matrices cannot overflow
+int64.  Elimination itself runs on rows of Python ints, which is exact for
+any p.  Every routine is deterministic: pivoting always picks the leftmost
+nonzero column and the first row carrying a nonzero entry, so results are
+reproducible bit-for-bit.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -16,6 +19,11 @@ import numpy as np
 class MalformedInputError(ValueError):
     """Raised on shape mismatches or non-field moduli."""
 
+
+# The largest supported modulus: the largest prime below 2**16.  For p at
+# most this, (p - 1)**2 * k < 2**63 for every inner dimension k < 2**31, so
+# int64 matrix products of reduced entries are exact.
+MAX_PRIME = 65521
 
 _SMALL_PRIMES = {2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47}
 
@@ -29,6 +37,9 @@ def is_prime(p: int) -> bool:
 
 
 def check_prime(p: int) -> None:
+    if p > MAX_PRIME:
+        raise MalformedInputError(
+            f"modulus {p} exceeds the supported maximum {MAX_PRIME}")
     if not is_prime(p):
         raise MalformedInputError(f"modulus {p} is not prime")
 
@@ -52,69 +63,138 @@ def matmul(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
     return (a @ b) % p
 
 
-def inverse_scalar(a: int, p: int) -> int:
-    if a % p == 0:
-        raise ZeroDivisionError("zero has no inverse")
-    return pow(int(a), p - 2, p)
+# ---------------------------------------------------------------------------
+# elimination on rows of Python ints
 
 
-@dataclass(frozen=True)
+def _int_rows(a, p: int) -> tuple[list[list[int]], int]:
+    """Rows of a 2-d input as lists of ints in [0, p), with the column
+    count.  A nonempty list of lists of Python ints is read directly;
+    anything else goes through numpy, which also carries the column count
+    of an input with no rows."""
+    if isinstance(a, list) and a and isinstance(a[0], list):
+        n = len(a[0])
+        rows = [[x % p for x in row] for row in a]
+        if any(len(row) != n for row in rows):
+            raise MalformedInputError("ragged rows")
+        return rows, n
+    arr = np.asarray(a, dtype=np.int64)
+    if arr.ndim != 2:
+        raise MalformedInputError("expected a 2-d array")
+    return (arr % p).tolist(), arr.shape[1]
+
+
+def _eliminate(rows: list[list[int]], p: int, limit: int) -> list[int]:
+    """Gauss-Jordan elimination in place; returns the pivot columns.
+
+    Pivots are sought only in columns [0, limit): the leftmost column with
+    a nonzero entry at or below the current row, and the first such row.
+    Only rows nonzero in the pivot column are updated.  Rows are replaced,
+    never mutated, so a caller may keep the input row lists.
+    """
+    m = len(rows)
+    pivots: list[int] = []
+    row = 0
+    for col in range(limit):
+        if row == m:
+            break
+        for i in range(row, m):
+            if rows[i][col]:
+                break
+        else:
+            continue
+        if i != row:
+            rows[row], rows[i] = rows[i], rows[row]
+        pivot = rows[row]
+        if pivot[col] != 1:
+            inv = pow(pivot[col], p - 2, p)
+            pivot = rows[row] = [x * inv % p for x in pivot]
+        for j in range(m):
+            f = rows[j][col]
+            if f and j != row:
+                rows[j] = [(x - f * y) % p for x, y in zip(rows[j], pivot)]
+        pivots.append(col)
+        row += 1
+    return pivots
+
+
+def _array(rows: list[list[int]], m: int, n: int) -> np.ndarray:
+    return np.array(rows, dtype=np.int64).reshape(m, n)
+
+
+def _kernel_basis(rows, pivots, n: int, p: int) -> np.ndarray:
+    """Null space basis of the first n columns of a reduced matrix: one
+    column per free column c, with 1 at c and minus the rref entries of
+    column c at the pivot positions."""
+    pivot_set = set(pivots)
+    free = [c for c in range(n) if c not in pivot_set]
+    basis = [[0] * len(free) for _ in range(n)]
+    for k, c in enumerate(free):
+        basis[c][k] = 1
+        for i, pc in enumerate(pivots):
+            basis[pc][k] = -rows[i][c] % p
+    return _array(basis, n, len(free))
+
+
+def _augment_identity(rows, p: int) -> tuple[list[int], list[list[int]]]:
+    """Eliminate [A | I] pivoting in A only; returns the pivots and the
+    right block, which maps A to its rref."""
+    m = len(rows)
+    n = len(rows[0]) if rows else 0
+    aug = [row + [int(i == j) for j in range(m)] for i, row in enumerate(rows)]
+    pivots = _eliminate(aug, p, n)
+    return pivots, [row[n:] for row in aug]
+
+
 class EchelonData:
     """Reduced row-echelon data of a matrix A over F_p.
 
     transform @ A == rref (mod p).  kernel_basis has one column per free
     column of A; image_basis repeats the pivot columns of A itself, so its
-    columns are independent and span the column space.
+    columns are independent and span the column space.  Everything past
+    rank and pivot_columns is built on first read.
     """
 
-    rank: int
-    pivot_columns: tuple[int, ...]
-    rref: np.ndarray
-    transform: np.ndarray
-    kernel_basis: np.ndarray  # cols x (cols - rank)
-    image_basis: np.ndarray  # rows x rank
-    modulus: int
+    def __init__(self, source, reduced, n: int, pivots, p: int):
+        self._source = source  # rows of A, reduced mod p
+        self._reduced = reduced  # rows of rref
+        self._n = n
+        self.rank = len(pivots)
+        self.pivot_columns = tuple(pivots)
+        self.modulus = p
+
+    @cached_property
+    def rref(self) -> np.ndarray:
+        return _array(self._reduced, len(self._reduced), self._n)
+
+    @cached_property
+    def transform(self) -> np.ndarray:
+        m = len(self._source)
+        return _array(_augment_identity(self._source, self.modulus)[1], m, m)
+
+    @cached_property
+    def kernel_basis(self) -> np.ndarray:  # cols x (cols - rank)
+        return _kernel_basis(self._reduced, self.pivot_columns, self._n,
+                             self.modulus)
+
+    @cached_property
+    def image_basis(self) -> np.ndarray:  # rows x rank
+        cols = self.pivot_columns
+        return _array([[row[c] for c in cols] for row in self._source],
+                      len(self._source), self.rank)
 
 
 def row_reduce(a, p: int) -> EchelonData:
-    """Gauss-Jordan elimination with deterministic pivoting."""
+    """Gauss-Jordan elimination with deterministic pivoting.
+
+    a is a 2-d array, or a nonempty list of equally long lists of Python
+    ints.
+    """
     check_prime(p)
-    a = reduce_mod(a, p)
-    if a.ndim != 2:
-        raise MalformedInputError("expected a 2-d array")
-    m, n = a.shape
-    r = a.copy()
-    t = identity(m)
-    pivots: list[int] = []
-    row = 0
-    for col in range(n):
-        if row == m:
-            break
-        nz = np.nonzero(r[row:, col])[0]
-        if nz.size == 0:
-            continue
-        i = row + int(nz[0])
-        if i != row:
-            r[[row, i]] = r[[i, row]]
-            t[[row, i]] = t[[i, row]]
-        inv = inverse_scalar(int(r[row, col]), p)
-        r[row] = (r[row] * inv) % p
-        t[row] = (t[row] * inv) % p
-        other = r[:, col].copy()
-        other[row] = 0
-        r = (r - np.outer(other, r[row])) % p
-        t = (t - np.outer(other, t[row])) % p
-        pivots.append(col)
-        row += 1
-    rank = len(pivots)
-    free = [c for c in range(n) if c not in pivots]
-    kernel = zeros(n, len(free))
-    for k, c in enumerate(free):
-        kernel[c, k] = 1
-        for i, pc in enumerate(pivots):
-            kernel[pc, k] = (-r[i, c]) % p
-    image = a[:, pivots] if pivots else zeros(m, 0)
-    return EchelonData(rank, tuple(pivots), r, t, kernel, image, p)
+    rows, n = _int_rows(a, p)
+    source = rows[:]
+    pivots = _eliminate(rows, p, n)
+    return EchelonData(source, rows, n, pivots, p)
 
 
 def rank(a, p: int) -> int:
@@ -136,21 +216,28 @@ class Solution:
 
 
 def solve(a, b, p: int) -> Solution | None:
-    """Solve A X = B exactly; None when inconsistent."""
-    a = reduce_mod(a, p)
-    b = reduce_mod(b, p)
+    """Solve A X = B exactly; None when inconsistent.
+
+    Eliminates [A | B] pivoting in A only: the system is consistent when
+    the rows past the rank vanish on B, and then the B part of the pivot
+    rows is the particular solution.
+    """
+    check_prime(p)
+    a = np.asarray(a, dtype=np.int64)
+    b = np.asarray(b, dtype=np.int64)
     if b.ndim == 1:
         b = b.reshape(-1, 1)
-    if a.shape[0] != b.shape[0]:
+    if a.ndim != 2 or a.shape[0] != b.shape[0]:
         raise MalformedInputError(f"row mismatch: {a.shape} vs {b.shape}")
-    ech = row_reduce(a, p)
-    tb = matmul(ech.transform, b, p)
-    if ech.rank < a.shape[0] and np.any(tb[ech.rank :, :]):
+    n, k = a.shape[1], b.shape[1]
+    rows = (np.hstack([a, b]) % p).tolist()
+    pivots = _eliminate(rows, p, n)
+    if any(any(row[n:]) for row in rows[len(pivots):]):
         return None
-    x = zeros(a.shape[1], b.shape[1])
-    for i, c in enumerate(ech.pivot_columns):
-        x[c, :] = tb[i, :]
-    return Solution(x, ech.kernel_basis, p)
+    x = [[0] * k for _ in range(n)]
+    for i, c in enumerate(pivots):
+        x[c] = rows[i][n:]
+    return Solution(_array(x, n, k), _kernel_basis(rows, pivots, n, p), p)
 
 
 def in_column_space(a: np.ndarray, b: np.ndarray, p: int) -> bool:
@@ -162,7 +249,7 @@ def column_space_basis(a: np.ndarray, p: int) -> np.ndarray:
     """Canonical basis of the column span: rref rows of the transpose,
     returned as columns.  Two matrices with equal column spans yield
     byte-identical output."""
-    ech = row_reduce(reduce_mod(a, p).T, p)
+    ech = row_reduce(np.asarray(a).T, p)
     return ech.rref[: ech.rank].T.copy()
 
 
@@ -205,10 +292,13 @@ def block_diag(blocks: list[np.ndarray], p: int) -> np.ndarray:
 
 
 def invert(a: np.ndarray, p: int) -> np.ndarray:
+    """Inverse of a square matrix, by eliminating [A | I]."""
+    check_prime(p)
+    a = np.asarray(a, dtype=np.int64)
     n, m = a.shape
     if n != m:
         raise MalformedInputError("only square matrices are invertible")
-    ech = row_reduce(a, p)
-    if ech.rank != n:
+    pivots, inverse = _augment_identity((a % p).tolist(), p)
+    if len(pivots) != n:
         raise MalformedInputError("matrix is singular")
-    return ech.transform
+    return _array(inverse, n, n)

@@ -9,6 +9,7 @@ Hom spaces and isomorphism testing all reduce to exact linear algebra.
 from __future__ import annotations
 
 import itertools
+import weakref
 
 import numpy as np
 
@@ -281,14 +282,6 @@ def standard_module(algebra: Algebra, v: str, kind: str) -> Representation:
     raise MalformedInputError(f"unknown standard module kind {kind!r}")
 
 
-def projective_generator_position(algebra: Algebra, v: str) -> int:
-    """Row index of e_v inside P(v)'s space at vertex v."""
-    q = algebra.quiver
-    paths = algebra.paths_from(v)
-    at_v = [bi for bi, path in paths if path.end_in(q) == v]
-    return at_v.index(algebra.trivial_path_index(v))
-
-
 def hom_from_projective(algebra: Algebra, v: str, pv: Representation,
                         target: Representation, x: np.ndarray) -> Morphism:
     """The morphism P(v) -> target sending the generator e_v to x.
@@ -322,60 +315,52 @@ def hom_space(m: Representation, n: Representation) -> list[Morphism]:
     """Deterministic basis of Hom(M, N)."""
     if m.algebra is not n.algebra:
         raise AlgebraMismatchError("hom_space across different algebras")
+    # The entry keeps a weak reference to n: once n is freed another module
+    # may reuse its id, and the dead reference then forces a fresh solve.
     key = ("hom", id(n))
     cached = m._cache.get(key)
-    if cached is not None:
-        return cached
+    if cached is not None and cached[0]() is n:
+        return cached[1]
     alg = m.algebra
+    p = alg.p
     q = alg.quiver
     nv = alg.n_vertices
-    sizes = [n.dims[i] * m.dims[i] for i in range(nv)]
-    offsets = np.concatenate([[0], np.cumsum(sizes)])
-    total = int(offsets[-1])
+    offsets = [0, *itertools.accumulate(
+        n.dims[i] * m.dims[i] for i in range(nv))]
+    total = offsets[-1]
+    # equation N_a f_u - f_w M_a = 0 for each arrow a: u -> w, one row per
+    # entry (i, j) of the n_w x m_u result, with row-major vec(f_v)
     rows = []
     for ai, arrow in enumerate(q.arrows):
         u = q.vertex_index(arrow.source)
         w = q.vertex_index(arrow.target)
-        # equation: N_a f_u - f_w M_a = 0, with row-major vec(f_v)
-        neq = n.dims[w] * m.dims[u]
-        if neq == 0:
-            continue
-        block = linalg.zeros(neq, total)
-        left = np.kron(n.arrow_maps[ai], linalg.identity(m.dims[u]))
-        block[:, offsets[u]:offsets[u + 1]] = left
-        right = np.kron(linalg.identity(n.dims[w]), m.arrow_maps[ai].T)
-        block[:, offsets[w]:offsets[w + 1]] = (
-            block[:, offsets[w]:offsets[w + 1]] - right
-        ) % alg.p
-        rows.append(block % alg.p)
-    system = np.vstack(rows) if rows else linalg.zeros(0, total)
-    basis_vectors = linalg.kernel(system, alg.p)
+        mu, mw = m.dims[u], m.dims[w]
+        n_a = n.arrow_maps[ai].tolist()
+        m_a_cols = m.arrow_maps[ai].T.tolist()
+        for i, n_row in enumerate(n_a):
+            f_w_row = offsets[w] + i * mw
+            for j, m_col in enumerate(m_a_cols):
+                row = [0] * total
+                for k, c in enumerate(n_row):
+                    if c:
+                        row[offsets[u] + k * mu + j] = c
+                for l, c in enumerate(m_col):
+                    if c:
+                        row[f_w_row + l] = (row[f_w_row + l] - c) % p
+                rows.append(row)
+    basis_vectors = linalg.kernel(rows or linalg.zeros(0, total), p)
     result = []
     for k in range(basis_vectors.shape[1]):
         vec = basis_vectors[:, k]
         maps = [vec[offsets[i]:offsets[i + 1]].reshape(n.dims[i], m.dims[i])
                 for i in range(nv)]
         result.append(Morphism(m, n, maps))
-    m._cache[key] = result
+    m._cache[key] = (weakref.ref(n), result)
     return result
 
 
 def hom_dim(m: Representation, n: Representation) -> int:
     return len(hom_space(m, n))
-
-
-def morphism_coordinates(f: Morphism, basis: list[Morphism]) -> np.ndarray:
-    """Express f in a Hom-space basis; raises if it is not in the span."""
-    p = f.source.algebra.p
-    if not basis:
-        if f.is_zero():
-            return np.zeros(0, dtype=np.int64)
-        raise MalformedInputError("morphism outside the empty span")
-    mat = np.stack([g.flatten() for g in basis], axis=1)
-    sol = linalg.solve(mat, f.flatten(), p)
-    if sol is None:
-        raise MalformedInputError("morphism is not in the span of the basis")
-    return sol.particular[:, 0]
 
 
 # ---------------------------------------------------------------------------
@@ -614,15 +599,6 @@ def socle_spans(m: Representation) -> list[np.ndarray]:
     return spans
 
 
-def top_socle_radical(m: Representation):
-    """(rad M with inclusion, top M with projection, soc M with inclusion)."""
-    rad_sp = radical_spans(m)
-    rad, rad_incl = sub_representation(m, rad_sp)
-    top, top_proj = quotient_representation(m, rad_sp)
-    soc, soc_incl = sub_representation(m, socle_spans(m))
-    return (rad, rad_incl), (top, top_proj), (soc, soc_incl)
-
-
 def top_multiplicities(m: Representation) -> list[int]:
     """Multiplicity of S(v) in top M, by vertex index."""
     rad_sp = radical_spans(m)
@@ -727,8 +703,6 @@ __all__ = [
     "injective_module",
     "is_isomorphic",
     "jordan_holder_factors",
-    "morphism_coordinates",
-    "projective_generator_position",
     "projective_module",
     "quotient_representation",
     "regular_module",
@@ -740,7 +714,6 @@ __all__ = [
     "sub_quotient",
     "sub_representation",
     "top_multiplicities",
-    "top_socle_radical",
     "validate",
     "zero_morphism",
     "zero_representation",

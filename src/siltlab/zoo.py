@@ -7,7 +7,7 @@ serialized forms of these).
 
 from __future__ import annotations
 
-from .algfile import ParsedAlgebra, serialize
+from .algfile import ParsedAlgebra
 from .pathalg import Arrow, Path, Quiver, RelationSet, hereditary_bound
 
 
@@ -80,21 +80,10 @@ STANDARD_FILES = {
 }
 
 
-def write_standard_files(directory) -> None:
-    """Regenerate the shipped `.alg` files from the zoo definitions."""
-    import pathlib
-
-    d = pathlib.Path(directory)
-    d.mkdir(parents=True, exist_ok=True)
-    for name, builder in STANDARD_FILES.items():
-        (d / name).write_text(serialize(builder()), encoding="utf-8")
-
-
 __all__ = [
     "STANDARD_FILES",
     "a2",
     "cyclic_nakayama_2",
     "linear_an",
     "nakayama_a3",
-    "write_standard_files",
 ]

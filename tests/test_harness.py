@@ -1,4 +1,5 @@
 import json
+import time
 
 import pytest
 
@@ -130,6 +131,16 @@ def test_cli_input_errors(capsys, alg_dir, tmp_path):
     code, _, err = run_cli(capsys, "check", str(alg_dir / "a2.alg"),
                            "--module", "P2", "--predicate", "shiny")
     assert code == 2
+
+
+def test_cli_oversized_field_rejected_fast(capsys, tmp_path):
+    big = tmp_path / "big.alg"
+    big.write_text("field 1000000000000000003\nvertices 1\n")
+    start = time.perf_counter()
+    code, _, err = run_cli(capsys, "algebra", "info", str(big))
+    assert code == 2
+    assert "exceeds" in err
+    assert time.perf_counter() - start < 1.0
 
 
 def test_cli_strict_undecidable(capsys, alg_dir):

@@ -2,6 +2,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from sympy import GF
+from sympy.polys.matrices import DomainMatrix
 
 from siltlab import linalg
 
@@ -41,6 +43,91 @@ def test_non_prime_modulus_rejected():
         linalg.row_reduce(np.eye(2, dtype=np.int64), 4)
     with pytest.raises(linalg.MalformedInputError):
         linalg.check_prime(1)
+
+
+def test_modulus_above_max_prime_rejected():
+    linalg.check_prime(linalg.MAX_PRIME)
+    with pytest.raises(linalg.MalformedInputError, match="exceeds"):
+        linalg.row_reduce(np.eye(2, dtype=np.int64), 65537)
+    # a 19-digit prime: rejected before any trial division
+    with pytest.raises(linalg.MalformedInputError, match="exceeds"):
+        linalg.check_prime(10**18 + 3)
+
+
+def test_matmul_exact_at_max_prime():
+    p = linalg.MAX_PRIME
+    rng = np.random.default_rng(1)
+    cases = [
+        (rng.integers(0, p, size=(40, 40)), rng.integers(0, p, size=(40, 40))),
+        (np.full((2, 4096), p - 1), np.full((4096, 3), p - 1)),
+    ]
+    for a, b in cases:
+        reference = [[sum(x * y for x, y in zip(row, col)) % p
+                      for col in b.T.tolist()] for row in a.tolist()]
+        assert linalg.matmul(a, b, p).tolist() == reference
+
+
+def sympy_rref(a, p):
+    """Row reduction by sympy over GF(p), as an int64 array in [0, p)."""
+    field = GF(p)
+    m, n = a.shape
+    dm = DomainMatrix([[field(int(x)) for x in row] for row in a.tolist()],
+                      (m, n), field)
+    rref, pivots = dm.rref()
+    out = np.array([[int(x) % p for x in row] for row in rref.to_list()],
+                   dtype=np.int64).reshape(m, n)
+    return out, tuple(pivots)
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7, linalg.MAX_PRIME])
+def test_row_reduce_matches_sympy(p):
+    rng = np.random.default_rng(777 + p)
+    for trial in range(300):
+        a = random_matrix(rng, p)
+        if trial % 2 and a.size:
+            # rank-deficient: a product through a thin middle dimension
+            k = int(rng.integers(0, min(a.shape) + 1))
+            a = (rng.integers(0, p, size=(a.shape[0], k))
+                 @ rng.integers(0, p, size=(k, a.shape[1]))) % p
+        ech = linalg.row_reduce(a, p)
+        rref, pivots = sympy_rref(a, p)
+        assert ech.rref.tobytes() == rref.tobytes()
+        assert ech.rref.shape == rref.shape
+        assert ech.pivot_columns == pivots
+        assert ech.rank == len(pivots)
+
+
+def test_row_reduce_accepts_int_rows():
+    a = np.array([[1, 2, 4], [2, 4, 1], [0, 0, 6]])
+    from_rows = linalg.row_reduce([[int(x) for x in row] for row in a], 5)
+    from_array = linalg.row_reduce(a, 5)
+    assert from_rows.rref.tobytes() == from_array.rref.tobytes()
+    assert from_rows.pivot_columns == from_array.pivot_columns
+    with pytest.raises(linalg.MalformedInputError):
+        linalg.row_reduce([[1, 2], [3]], 5)
+
+
+@pytest.mark.parametrize("shape", [(0, 3), (3, 0), (0, 0)])
+def test_empty_shapes(shape):
+    m, n = shape
+    a = linalg.zeros(m, n)
+    ech = linalg.row_reduce(a, 3)
+    assert (ech.rank, ech.pivot_columns) == (0, ())
+    assert ech.rref.shape == (m, n)
+    assert np.array_equal(ech.transform, np.eye(m, dtype=np.int64))
+    assert ech.image_basis.shape == (m, 0)
+    assert np.array_equal(linalg.kernel(a, 3), np.eye(n, dtype=np.int64))
+    assert linalg.column_space_basis(a, 3).shape == (m, 0)
+    sol = linalg.solve(a, linalg.zeros(m, 2), 3)
+    assert sol.particular.shape == (n, 2) and not sol.particular.any()
+    assert np.array_equal(sol.kernel_basis, np.eye(n, dtype=np.int64))
+    if m:
+        assert linalg.solve(a, np.ones(m, dtype=np.int64), 3) is None
+    if m == n:
+        assert linalg.invert(a, 3).shape == (0, 0)
+    else:
+        with pytest.raises(linalg.MalformedInputError):
+            linalg.invert(a, 3)
 
 
 def test_solve_inconsistent():

@@ -170,3 +170,16 @@ def test_quotient_by_everything(a2_algebra):
     spans = [linalg.identity(d) for d in p2.dims]
     quot, proj = quotient_representation(p2, spans)
     assert quot.is_zero()
+
+
+def test_hom_cache_survives_id_reuse(a2_algebra):
+    """A freed target's id may be reused by a new module; the cached Hom
+    of the old target must not be returned for it."""
+    s1 = simple_module(a2_algebra, "1")
+    wrong = 0
+    for _ in range(2000):
+        s2 = simple_module(a2_algebra, "2")
+        assert hom_dim(s1, s2) == 0
+        del s2
+        wrong += hom_dim(s1, simple_module(a2_algebra, "1")) != 1
+    assert wrong == 0
