@@ -27,7 +27,6 @@ from .harness import (
 from .homology import (
     BoundExceededError,
     Resolution,
-    d_sigma_contains,
     ext_dim,
     injective_envelope,
     minimal_presentation,

@@ -83,11 +83,7 @@ def cmd_algebra_info(args) -> int:
 def cmd_indec_list(args) -> int:
     parsed = load_algebra_file(args.file)
     algebra = parsed.build()
-    strategy = args.strategy
-    if strategy is None:
-        strategy = ("classified" if parsed.family in ("hereditary-An",
-                                                      "nakayama")
-                    else "brute")
+    strategy = args.strategy or harness.default_strategy(parsed)
     corpus = enumerate_indecomposables(
         algebra, strategy=strategy, dim_bound=_default_dim_bound())
     rows = [{

@@ -34,13 +34,19 @@ SEMANTICS_BANNER = (
 )
 
 
+def default_strategy(parsed: ParsedAlgebra) -> str:
+    """Corpus strategy for a parsed algebra: the classified corpus for the
+    families that have one, brute-force enumeration otherwise."""
+    if parsed.family in ("hereditary-An", "nakayama"):
+        return "classified"
+    return "brute"
+
+
 def load_workbench(parsed: ParsedAlgebra, strategy: str | None = None,
                    dim_bound: int = 6) -> Workbench:
     algebra = parsed.build()
     if strategy is None:
-        strategy = ("classified" if parsed.family in ("hereditary-An",
-                                                      "nakayama")
-                    else "brute")
+        strategy = default_strategy(parsed)
     corpus = enumerate_indecomposables(
         algebra, strategy=strategy, dim_bound=dim_bound)
     return Workbench(corpus)
@@ -236,6 +242,7 @@ __all__ = [
     "SCHEMA_VERSION",
     "SEMANTICS_BANNER",
     "classify",
+    "default_strategy",
     "layer_label",
     "load_workbench",
     "reproduce_example",

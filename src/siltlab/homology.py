@@ -251,10 +251,6 @@ def respects_presentation(pres: ProjectivePresentation,
     return linalg.rank(images, p) == len(h1)
 
 
-def d_sigma_contains(pres: ProjectivePresentation, x: Representation) -> bool:
-    return respects_presentation(pres, x)
-
-
 def injective_envelope(m: Representation) -> Morphism:
     """Essential monomorphism M -> E with E = sum of I(v) over soc M."""
     cached = m._cache.get("injective_envelope")
@@ -310,7 +306,6 @@ __all__ = [
     "BoundExceededError",
     "ProjectivePresentation",
     "Resolution",
-    "d_sigma_contains",
     "default_resolution_bound",
     "ext_dim",
     "injective_envelope",

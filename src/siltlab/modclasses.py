@@ -9,6 +9,7 @@ indecomposable summands lie in the supplied corpus.
 from __future__ import annotations
 
 import itertools
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -187,10 +188,10 @@ def perp_contains(t: Representation, m: Representation,
     return MembershipWitness(True)
 
 
-def left_perp0_of_gen(t: Representation, corpus: Corpus) -> list[int]:
-    """Corpus indices X with Hom(X, G) = 0 for every corpus G in Gen T."""
-    gen_indices = [j for j, g in enumerate(corpus.members)
-                   if gen_contains(t, g)]
+def left_perp0_of_gen(gen_indices: Sequence[int],
+                      corpus: Corpus) -> list[int]:
+    """Corpus indices X with Hom(X, G) = 0 for every G in Gen T, given the
+    corpus indices of Gen T (for example ``Workbench.gen_set``)."""
     out = []
     for i, x in enumerate(corpus.members):
         if all(not hom_space(x, corpus.members[j]) for j in gen_indices):

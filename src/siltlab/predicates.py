@@ -7,9 +7,15 @@ independently; a route disagreement raises instead of being reconciled,
 because agreement of routes is exactly what the verification harness is
 meant to certify.
 
-Candidates are basic modules, encoded as sorted tuples of corpus indices;
-the Workbench memoizes all pairwise Hom/Ext/trace data so that sweeps
-over all 2^corpus candidates stay cheap.
+Candidates are basic modules, encoded as sorted tuples of corpus indices.
+A candidate is the direct sum of its summands and Hom(+T_i, -) is the sum
+of the Hom(T_i, -), so the Workbench keeps per-summand tables (Hom, Ext,
+pd, presentation class, trace, Subfac/Facsub) and every predicate below
+reads them instead of building the direct sum: sincerity and cosincerity
+test Hom(P_v, T_i) and Hom(T_i, I_v) per summand, the Subfac/Facsub routes
+read one summand's table, and the T123 coevaluation maps R into the sum
+of the T_i^(d_i).  Only ``gen_eq_pres`` (through ``pres_contains``) and
+the worked example still build the whole candidate with ``Workbench.rep``.
 """
 
 from __future__ import annotations
@@ -102,6 +108,7 @@ class Workbench:
         self._pd: dict[int, int | None] = {}
         self._dsig: dict[tuple[int, int], bool] = {}
         self._trace: dict[tuple[int, int], list[np.ndarray]] = {}
+        self._subfac: dict[tuple[int, int], tuple[bool, bool]] = {}
         self._gen: dict[Candidate, tuple[int, ...]] = {}
         self._projectives = [projective_module(self.algebra, v)
                              for v in self.algebra.vertices]
@@ -172,18 +179,26 @@ class Workbench:
             self._trace[key] = trace_spans(self.members[i], self.members[j])
         return self._trace[key]
 
+    def subfac_facsub(self, i: int, vi: int) -> tuple[bool, bool]:
+        """(in_subfac, in_facsub) of S at vertex index vi, witnessed by
+        the first basis vector of summand i at that vertex."""
+        key = (i, vi)
+        if key not in self._subfac:
+            s = simple_module(self.algebra, self.algebra.vertices[vi])
+            in_subfac, in_facsub, _ = subfac_facsub(self.members[i], s)
+            self._subfac[key] = (in_subfac, in_facsub)
+        return self._subfac[key]
+
     # -- candidate-level derived data ----------------------------------
 
     def gen_member(self, candidate: Candidate, j: int) -> bool:
-        dims = self.members[j].dims
-        spans = [linalg.zeros(d, 0) for d in dims]
-        for i in candidate:
-            spans = [np.hstack([s, extra])
-                     for s, extra in zip(spans, self.pair_trace(i, j))]
-        return all(
-            linalg.rank(s, self.algebra.p) == d
-            for s, d in zip(spans, dims)
-        )
+        traces = [self.pair_trace(i, j) for i in candidate]
+        for vi, d in enumerate(self.members[j].dims):
+            blocks = [trace[vi] for trace in traces]
+            span = np.hstack(blocks) if blocks else linalg.zeros(d, 0)
+            if linalg.rank(span, self.algebra.p) != d:
+                return False
+        return True
 
     def gen_set(self, candidate: Candidate) -> tuple[int, ...]:
         if candidate not in self._gen:
@@ -260,16 +275,17 @@ def _require_agreement(wb, candidate, predicate, verdicts: dict):
 
 def is_sincere(wb: Workbench, candidate: Candidate) -> PredicateReport:
     start = time.perf_counter()
-    t = wb.rep(candidate)
+    summands = [wb.members[i] for i in candidate]
     missing = None
     route_hom = True
     for vi, v in enumerate(wb.algebra.vertices):
-        if not hom_space(wb._projectives[vi], t):
+        if not any(hom_space(wb._projectives[vi], t) for t in summands):
             route_hom = False
             missing = v
             break
-    route_factors = all(d > 0 for d in t.dims)
-    perp = left_perp0_of_gen(t, wb.corpus)
+    route_factors = all(sum(t.dims[vi] for t in summands) > 0
+                        for vi in range(wb.algebra.n_vertices))
+    perp = left_perp0_of_gen(wb.gen_set(candidate), wb.corpus)
     route_perp = not perp
     _require_agreement(wb, candidate, "sincere", {
         "hom_from_projectives": route_hom,
@@ -287,11 +303,11 @@ def is_sincere(wb: Workbench, candidate: Candidate) -> PredicateReport:
 
 def is_cosincere(wb: Workbench, candidate: Candidate) -> PredicateReport:
     start = time.perf_counter()
-    t = wb.rep(candidate)
+    summands = [wb.members[i] for i in candidate]
     missing = None
     verdict = True
     for vi, v in enumerate(wb.algebra.vertices):
-        if not hom_space(t, wb._injectives[vi]):
+        if not any(hom_space(t, wb._injectives[vi]) for t in summands):
             verdict = False
             missing = v
             break
@@ -309,17 +325,22 @@ def satisfies_facsub(wb: Workbench, candidate: Candidate) -> PredicateReport:
 
 
 def _subfac_or_facsub(wb, candidate, which):
+    """The whole-sum witness x (the first basis vector at v of the block
+    sum) lies in the first summand with v in its support; its cyclic
+    submodule, that submodule's radical and the quotient by J.<x> stay
+    inside that summand, so its table entry is the candidate's verdict."""
     start = time.perf_counter()
-    t = wb.rep(candidate)
     verdict = True
     witness = None
     for vi, v in enumerate(wb.algebra.vertices):
-        s = simple_module(wb.algebra, v)
-        in_subfac, in_facsub, data = (
-            subfac_facsub(t, s) if t.dims[vi] else (False, False, None)
+        holder = next((i for i in candidate if wb.members[i].dims[vi]),
+                      None)
+        in_subfac, in_facsub = (
+            wb.subfac_facsub(holder, vi) if holder is not None
+            else (False, False)
         )
         direct = in_subfac if which == "subfac" else in_facsub
-        factor = t.dims[vi] > 0
+        factor = holder is not None
         _require_agreement(wb, candidate, which, {
             "direct_search": direct,
             "composition_factor": factor,
@@ -415,13 +436,19 @@ def vanishing_t3prime(wb: Workbench, candidate: Candidate) -> PredicateReport:
                    "corpus_scan_perp01", witness, start)
 
 
-def _coevaluation(wb: Workbench, t: Representation):
-    """Canonical map R -> T^d over the full Hom(R, T) basis."""
+def _coevaluation(wb: Workbench, candidate: Candidate):
+    """Map R -> sum of T_i^(d_i) over the bases of the Hom(R, T_i).
+
+    The canonical R -> T^d over a basis of Hom(R, T) = sum Hom(R, T_i)
+    is, after a change of basis, this map plus copies of the T_i it
+    misses; those lie in add T, so both cokernels are in add T together.
+    """
     alg = wb.algebra
     r = wb._regular
-    basis = hom_space(r, t)
-    d = len(basis)
-    total, _, _ = direct_sum(alg, [t], [d])
+    bases = [hom_space(r, wb.members[i]) for i in candidate]
+    basis = [f for b in bases for f in b]
+    total, _, _ = direct_sum(alg, [wb.members[i] for i in candidate],
+                             [len(b) for b in bases])
     maps = []
     for vi in range(alg.n_vertices):
         rows = [f.vertex_maps[vi] for f in basis]
@@ -459,8 +486,7 @@ def is_tilting(wb: Workbench, candidate: Candidate,
     if "T123" in routes:
         t3 = False
         if t1 and t2:
-            t = wb.rep(candidate)
-            delta = _coevaluation(wb, t)
+            delta = _coevaluation(wb, candidate)
             if delta.is_mono():
                 cok = factorize(delta)["cokernel"]
                 try:

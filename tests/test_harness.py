@@ -1,3 +1,5 @@
+import dataclasses
+import hashlib
 import json
 import time
 
@@ -188,3 +190,33 @@ def test_max_dim_env_validation(capsys, alg_dir, monkeypatch):
     assert code == 0
     header = json.loads(out.splitlines()[0])
     assert header["completeness"] == "brute-force-up-to-dim-3"
+
+
+# sha256 of the full classify report, pinned so that refactors of the
+# predicates prove byte-identity.  A change that alters a verdict column on
+# purpose (such as a corrected silting test) updates these and says why.
+GOLDEN_CLASSIFY_SHA256 = {
+    "a2_wb":
+        "6575301f00819aac82ea7c3553529065757fae8141ffaca42000618d2930712b",
+    "a3_wb":
+        "139e9cb878c49d047617f0c7b0c99d6a2f00b4a469abc5717b97b236bcc2b88d",
+    "nak3_wb":
+        "c8d18c8d77a2f7dc11dec47a849ffa4b387e5efc4d5bc8a00e94b96e1f520f1c",
+    "cyc2_wb":
+        "2f8419673d2c03a1d88051d49b362f8c95787cbce9f4ea1a8566b51b24998902",
+}
+
+
+@pytest.mark.parametrize("fixture", sorted(GOLDEN_CLASSIFY_SHA256))
+def test_classify_report_golden_hash(request, fixture):
+    wb = request.getfixturevalue(fixture)
+    text = harness.to_json_lines(harness.classify(wb))
+    digest = hashlib.sha256(text.encode()).hexdigest()
+    assert digest == GOLDEN_CLASSIFY_SHA256[fixture]
+
+
+def test_default_strategy(a2_parsed, nak3_parsed):
+    assert harness.default_strategy(a2_parsed) == "classified"
+    assert harness.default_strategy(nak3_parsed) == "classified"
+    generic = dataclasses.replace(a2_parsed, family="generic")
+    assert harness.default_strategy(generic) == "brute"

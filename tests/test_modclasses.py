@@ -101,7 +101,8 @@ def test_left_perp0_of_gen(a2_wb):
     # Gen P2 = {P2, S2}; every corpus member maps nontrivially into one
     # of them (S1 embeds as the socle of P2), so the left perp is empty —
     # which is exactly the sincerity of P2
-    perp = left_perp0_of_gen(p2, wb.corpus)
+    gen = [j for j, g in enumerate(wb.members) if gen_contains(p2, g)]
+    perp = left_perp0_of_gen(gen, wb.corpus)
     assert perp == []
 
 

@@ -1,7 +1,14 @@
+import sys
+
+import numpy as np
 import pytest
 
+from siltlab import harness, linalg, modclasses, predicates, reps
+from siltlab.corpus import decompose
 from siltlab.homology import BoundExceededError
 from siltlab.predicates import (
+    Workbench,
+    is_cosincere,
     is_presilting,
     is_pretilting,
     is_self_orthogonal,
@@ -132,3 +139,124 @@ def test_report_rows_are_serializable(a2_wb):
     row = is_sincere(wb, cand(wb, "P2")).row()
     assert "cost" not in row
     json.dumps(row, sort_keys=True)
+
+
+# ---------------------------------------------------------------------------
+# whole-sum references for the summand-wise predicates
+
+ORACLE_WORKBENCHES = [("a2_wb", None), ("a3_wb", None), ("nak3_wb", None),
+                      ("cyc2_wb", None), ("a4_wb", 3)]
+
+
+def _whole_sum_coevaluation(wb, candidate):
+    """The canonical R -> T^d over a basis of Hom(R, T), T the whole sum."""
+    t = wb.rep(candidate)
+    r = wb._regular
+    basis = reps.hom_space(r, t)
+    total, _, _ = reps.direct_sum(wb.algebra, [t], [len(basis)])
+    maps = [np.vstack([f.vertex_maps[vi] for f in basis]) if basis
+            else linalg.zeros(0, r.dims[vi])
+            for vi in range(wb.algebra.n_vertices)]
+    return reps.Morphism(r, total, maps)
+
+
+def _decompose_or_none(m, corpus):
+    try:
+        return decompose(m, corpus)
+    except RuntimeError:
+        return None
+
+
+@pytest.mark.parametrize("fixture,max_summands", ORACLE_WORKBENCHES)
+def test_sincerity_square_matches_whole_sum(request, fixture, max_summands):
+    wb = request.getfixturevalue(fixture)
+    alg = wb.algebra
+    simples = [reps.simple_module(alg, v) for v in alg.vertices]
+    for c in wb.all_candidates(max_summands):
+        t = wb.rep(c)
+        subfac = facsub = sincere = cosincere = True
+        for vi in range(alg.n_vertices):
+            whole = modclasses.subfac_facsub(t, simples[vi])[:2]
+            holder = next((i for i in c if wb.members[i].dims[vi]), None)
+            summand = (wb.subfac_facsub(holder, vi) if holder is not None
+                       else (False, False))
+            assert whole == summand, (wb.candidate_name(c), vi)
+            subfac = subfac and whole[0]
+            facsub = facsub and whole[1]
+            pv, iv = wb._projectives[vi], wb._injectives[vi]
+            sincere = sincere and bool(reps.hom_space(pv, t))
+            cosincere = cosincere and bool(reps.hom_space(t, iv))
+        assert satisfies_subfac(wb, c).verdict == subfac
+        assert satisfies_facsub(wb, c).verdict == facsub
+        assert is_sincere(wb, c).verdict == sincere
+        assert is_cosincere(wb, c).verdict == cosincere
+
+
+@pytest.mark.parametrize("fixture,max_summands", ORACLE_WORKBENCHES)
+def test_coevaluation_matches_whole_sum(request, fixture, max_summands):
+    """cok(R -> T^d) = cok(R -> sum T_i^(d_i)) + (d - d_i) copies of T_i."""
+    wb = request.getfixturevalue(fixture)
+    for c in wb.all_candidates(max_summands):
+        old = _whole_sum_coevaluation(wb, c)
+        new = predicates._coevaluation(wb, c)
+        assert old.is_mono() == new.is_mono()
+        old_dec = _decompose_or_none(
+            reps.factorize(old)["cokernel"], wb.corpus)
+        new_dec = _decompose_or_none(
+            reps.factorize(new)["cokernel"], wb.corpus)
+        assert (old_dec is None) == (new_dec is None), wb.candidate_name(c)
+        if old_dec is None:
+            continue
+        d_i = {i: len(reps.hom_space(wb._regular, wb.members[i]))
+               for i in c}
+        d = sum(d_i.values())
+        assert d == len(reps.hom_space(wb._regular, wb.rep(c)))
+        expected = dict(new_dec)
+        for i in c:
+            expected[i] = expected.get(i, 0) + d - d_i[i]
+        assert old_dec == {i: n for i, n in expected.items() if n}
+
+
+# ---------------------------------------------------------------------------
+# work counters
+
+
+def _count_calls(monkeypatch, module, attr):
+    """Wrap module.attr in every siltlab module that binds it; return the
+    list of argument tuples it is called with."""
+    original = getattr(module, attr)
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    for name, sub in list(sys.modules.items()):
+        if name.startswith("siltlab.") and vars(sub).get(attr) is original:
+            monkeypatch.setattr(sub, attr, counting)
+    return calls
+
+
+def test_subfac_facsub_computed_once_per_member_and_vertex(a3_wb,
+                                                          monkeypatch):
+    wb = Workbench(a3_wb.corpus)
+    calls = _count_calls(monkeypatch, modclasses, "subfac_facsub")
+    first = harness.classify(wb)
+    keys = [(next(i for i, m in enumerate(wb.members) if m is t),
+             s.dims.index(1)) for t, s in calls]
+    assert calls
+    assert len(keys) == len(set(keys))
+    del calls[:]
+    assert harness.classify(wb) == first
+    assert calls == []
+
+
+def test_sincerity_square_builds_no_direct_sum(a3_wb, monkeypatch):
+    wb = Workbench(a3_wb.corpus)
+    calls = _count_calls(monkeypatch, reps, "direct_sum")
+    for c in wb.all_candidates():
+        for predicate in (is_sincere, is_cosincere,
+                          satisfies_subfac, satisfies_facsub):
+            predicate(wb, c)
+    assert calls == []
+    assert wb._rep_cache == {}
