@@ -21,7 +21,7 @@ s1 = simple_module(algebra, "1")
 s2 = simple_module(algebra, "2")
 
 print("S2 in Gen P2:", gen_contains(p2, s2))
-print("S2 in Pres P2:", pres_contains(p2, s2).verdict,
+print("S2 in Pres P2:", pres_contains([p2], s2).verdict,
       "-- every Add-P2 cover of S2 has kernel containing S1,")
 print("   and S1 is not in Gen P2:", gen_contains(p2, s1))
 

@@ -21,14 +21,11 @@ from .reps import (
     Morphism,
     Representation,
     UndecidableError,
-    direct_sum,
-    factorize,
     hom_space,
     quotient_representation,
     radical_spans,
     span_closure,
     sub_representation,
-    zero_morphism,
 )
 
 _PRES_FALLBACK_CAP = 1 << 16
@@ -75,31 +72,6 @@ def gen_contains(t: Representation, m: Representation) -> bool:
 # Pres
 
 
-def _evaluation_map(t: Representation, m: Representation,
-                    coefficients: np.ndarray):
-    """Map T^r -> M whose columns are the given combinations of the
-    Hom(T, M) basis; coefficients has shape (dim Hom, r)."""
-    alg = m.algebra
-    basis = hom_space(t, m)
-    r = coefficients.shape[1]
-    total, _, _ = direct_sum(alg, [t], [r])
-    maps = []
-    for vi in range(alg.n_vertices):
-        cols = []
-        for j in range(r):
-            acc = linalg.zeros(m.dims[vi], t.dims[vi])
-            for i, f in enumerate(basis):
-                c = int(coefficients[i, j])
-                if c:
-                    acc = (acc + c * f.vertex_maps[vi]) % alg.p
-            cols.append(acc)
-        if cols:
-            maps.append(np.hstack(cols))
-        else:
-            maps.append(linalg.zeros(m.dims[vi], 0))
-    return Morphism(total, m, maps)
-
-
 def _column_space_signatures(d: int, r: int, p: int):
     """Full-column-rank coefficient matrices d x r, one per column space."""
     seen: set[bytes] = set()
@@ -114,37 +86,117 @@ def _column_space_signatures(d: int, r: int, p: int):
         yield c
 
 
-def pres_contains(t: Representation, m: Representation) -> MembershipWitness:
-    """Is M the cokernel of a map between finite Add-T sums?
+def _evaluation(components, m: Representation) -> list[np.ndarray]:
+    """Vertex maps of (phi_k): T0 = sum_k T_(i_k) -> M."""
+    return [np.hstack([linalg.zeros(d, 0)]
+                      + [phi.vertex_maps[vi] for _, phi in components])
+            for vi, d in enumerate(m.dims)]
 
-    Canonical route: the evaluation map T^d -> M over the full Hom basis,
-    with its kernel tested for Gen-membership.  When that fails, every
-    column space of Hom-coefficient matrices is tried (any Add-T
-    presentation reduces to one of these by splitting off redundant
-    copies).
+
+def _is_epi(components, m: Representation) -> bool:
+    p = m.algebra.p
+    return all(linalg.rank(e, p) == d
+               for e, d in zip(_evaluation(components, m), m.dims))
+
+
+def _kernel_in_gen(summands: Sequence[Representation], components,
+                   m: Representation) -> bool:
+    """Is the kernel K of (phi_k): T0 = sum_k T_(i_k) -> M in Gen T?
+
+    ``components`` lists pairs (i_k, phi_k) with phi_k in Hom(T_(i_k), M).
+    Hom(T_i, -) is left exact, so Hom(T_i, K) is the kernel of
+    g -> sum_k phi_k g_k on Hom(T_i, T0) = sum_k Hom(T_i, T_(i_k)), and the
+    images of those g span the trace of T in K inside T0.  K lies in Gen T
+    iff at every vertex that span has dimension dim T0_v - rank(phi_v).
+    Neither T0 nor K is built.
+    """
+    p = m.algebra.p
+    evaluation = _evaluation(components, m)
+    targets = [summands[i] for i, _ in components]
+    offsets = [[0, *itertools.accumulate(x.dims[vi] for x in targets)]
+               for vi in range(len(m.dims))]
+    traces: list[list[np.ndarray]] = [[] for _ in m.dims]
+    for t in summands:
+        homs = [(k, h) for k, target in enumerate(targets)
+                for h in hom_space(t, target)]
+        if not homs:
+            continue
+        # lifts[vi][n] is the n-th basis map of Hom(T_i, T0) at vertex vi
+        lifts = []
+        for vi, off in enumerate(offsets):
+            g = np.zeros((len(homs), off[-1], t.dims[vi]), dtype=np.int64)
+            for n, (k, h) in enumerate(homs):
+                g[n, off[k]:off[k + 1]] = h.vertex_maps[vi]
+            lifts.append(g)
+        # column n of the system is phi o (n-th lift), flattened
+        system = np.hstack([
+            np.einsum("ma,hat->hmt", e, g).reshape(len(homs), -1)
+            for e, g in zip(evaluation, lifts)]).T % p
+        null = linalg.kernel(system, p)
+        for g, span in zip(lifts, traces):
+            images = np.einsum("hat,hn->ant", g, null)
+            span.append(images.reshape(g.shape[1], -1 if g.shape[1] else 0)
+                        % p)
+    return all(
+        linalg.rank(np.hstack([linalg.zeros(off[-1], 0), *spans]), p)
+        == off[-1] - linalg.rank(e, p)
+        for off, spans, e in zip(offsets, traces, evaluation))
+
+
+def _combination(basis: list[Morphism], coefficients: np.ndarray,
+                 p: int) -> Morphism:
+    maps = [sum(int(c) * f.vertex_maps[vi]
+                for c, f in zip(coefficients, basis)) % p
+            for vi in range(len(basis[0].vertex_maps))]
+    return Morphism(basis[0].source, basis[0].target, maps)
+
+
+def pres_contains(summands: Sequence[Representation],
+                  m: Representation) -> MembershipWitness:
+    """Is M the cokernel of a map between finite Add-T sums, for T the
+    direct sum of ``summands``?
+
+    Canonical route: the evaluation map T^d -> M over a basis of
+    Hom(T, M) = sum Hom(T_i, M), d its dimension, with its kernel tested
+    for Gen-membership.  After an automorphism of T^d that map is the sum
+    of the basis maps of the Hom(T_i, M) plus copies of the T_i mapped by
+    zero; those copies lie in Gen T, so only the former is tested.  When
+    that fails, every column space of d x r coefficient matrices over the
+    concatenated bases is tried for r < d (any Add-T presentation reduces
+    to one of these by splitting off redundant copies; r = d is the
+    canonical map again), each column split into its nonzero per-summand
+    parts.  Kernels are tested by left exactness (``_kernel_in_gen``),
+    so no direct sum and no kernel module is built.
     """
     if m.is_zero():
         return MembershipWitness(True, {"route": "zero"})
-    if not gen_contains(t, m):
+    bases = [hom_space(t, m) for t in summands]
+    canonical = [(i, f) for i, basis in enumerate(bases) for f in basis]
+    if not _is_epi(canonical, m):
         return MembershipWitness(False, {"reason": "not in Gen T"})
-    basis = hom_space(t, m)
-    d = len(basis)
+    d = len(canonical)
     p = m.algebra.p
-    canonical = _evaluation_map(t, m, linalg.identity(d))
-    parts = factorize(canonical)
-    if gen_contains(t, parts["kernel"]):
+    if _kernel_in_gen(summands, canonical, m):
         return MembershipWitness(True, {"route": "canonical", "copies": d})
+    splits = list(itertools.accumulate(len(b) for b in bases))[:-1]
     for r in range(1, d + 1):
         if p ** (d * r) > _PRES_FALLBACK_CAP:
             raise UndecidableError(
                 "Pres-membership fallback search space exceeds the cap"
             )
+        if r == d:
+            break  # the one d-dimensional column space: canonical again
         for coeffs in _column_space_signatures(d, r, p):
-            h = _evaluation_map(t, m, coeffs)
-            if not h.is_epi():
+            components = [
+                (i, _combination(basis, part, p))
+                for col in coeffs.T
+                for i, (basis, part) in enumerate(
+                    zip(bases, np.split(col, splits)))
+                if part.any()
+            ]
+            if not _is_epi(components, m):
                 continue
-            parts = factorize(h)
-            if gen_contains(t, parts["kernel"]):
+            if _kernel_in_gen(summands, components, m):
                 return MembershipWitness(
                     True, {"route": "fallback", "copies": r}
                 )

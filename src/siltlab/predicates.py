@@ -13,9 +13,10 @@ of the Hom(T_i, -), so the Workbench keeps per-summand tables (Hom, Ext,
 pd, presentation class, trace, Subfac/Facsub) and every predicate below
 reads them instead of building the direct sum: sincerity and cosincerity
 test Hom(P_v, T_i) and Hom(T_i, I_v) per summand, the Subfac/Facsub routes
-read one summand's table, and the T123 coevaluation maps R into the sum
-of the T_i^(d_i).  Only ``gen_eq_pres`` (through ``pres_contains``) and
-the worked example still build the whole candidate with ``Workbench.rep``.
+read one summand's table, the T123 coevaluation maps R into the sum of
+the T_i^(d_i), and ``gen_eq_pres`` hands ``pres_contains`` the list of
+summands.  Only the worked example builds the whole candidate, with
+``Workbench.rep``.
 """
 
 from __future__ import annotations
@@ -239,9 +240,9 @@ class Workbench:
 
     def gen_eq_pres(self, candidate: Candidate) -> bool:
         """Does Gen T = Pres T hold over the corpus?"""
-        t = self.rep(candidate)
+        summands = [self.members[i] for i in candidate]
         for j in self.gen_set(candidate):
-            if not pres_contains(t, self.members[j]).verdict:
+            if not pres_contains(summands, self.members[j]).verdict:
                 return False
         return True
 

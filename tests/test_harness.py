@@ -215,6 +215,31 @@ def test_classify_report_golden_hash(request, fixture):
     assert digest == GOLDEN_CLASSIFY_SHA256[fixture]
 
 
+# sha256 of the full verify-theorems report (a4 up to 3 summands), pinned
+# like the classify hashes above; these are the bytes that Gen = Pres reaches.
+GOLDEN_VERIFY_SHA256 = {
+    "a2_wb":
+        "707bf6ff5161d97b564372aae3c5226451a51c10bfe52a3bb4c136e61ec8787a",
+    "a3_wb":
+        "16a6fac816843c383c04450418041ecb26a430ce1e2adedc0a1fda2456cbe5c5",
+    "nak3_wb":
+        "51bd92df8bab1ac78b142edad265baacd6362c0e825729e891043bab6d014e83",
+    "cyc2_wb":
+        "52369dc14b362cd1b9d765d2bedff0a38b742cc2b77cfdde992968e409caf578",
+    "a4_wb":
+        "c19c622036df4bc0b2dd673dd507e32d77c81fdfa5caa0376759970ac350c200",
+}
+
+
+@pytest.mark.parametrize("fixture", sorted(GOLDEN_VERIFY_SHA256))
+def test_verify_report_golden_hash(request, fixture):
+    wb = request.getfixturevalue(fixture)
+    max_summands = 3 if fixture == "a4_wb" else None
+    text = harness.to_json_lines(harness.verify_theorems(wb, max_summands))
+    digest = hashlib.sha256(text.encode()).hexdigest()
+    assert digest == GOLDEN_VERIFY_SHA256[fixture]
+
+
 def test_default_strategy(a2_parsed, nak3_parsed):
     assert harness.default_strategy(a2_parsed) == "classified"
     assert harness.default_strategy(nak3_parsed) == "classified"

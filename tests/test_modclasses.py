@@ -1,7 +1,10 @@
 import numpy as np
 import pytest
 
+from siltlab import linalg, modclasses, zoo
+from siltlab.harness import load_workbench
 from siltlab.modclasses import (
+    MembershipWitness,
     add_contains,
     gen_contains,
     left_perp0_of_gen,
@@ -13,7 +16,11 @@ from siltlab.modclasses import (
     trace_spans,
 )
 from siltlab.reps import (
+    Morphism,
+    UndecidableError,
     direct_sum,
+    factorize,
+    hom_space,
     projective_module,
     regular_module,
     simple_module,
@@ -49,18 +56,17 @@ def test_gen_not_pres_for_p2_over_a2(a2_algebra):
     s2 = simple_module(alg, "2")
     assert not gen_contains(p2, s1)  # S1 is the radical, not a quotient
     assert gen_contains(p2, s2)
-    verdict = pres_contains(p2, s2)
+    verdict = pres_contains([p2], s2)
     assert not verdict.verdict
 
 
 def test_pres_contains_positive(a2_algebra):
     alg = a2_algebra
     p2 = projective_module(alg, "2")
-    assert pres_contains(p2, p2).verdict
+    assert pres_contains([p2], p2).verdict
     s2 = simple_module(alg, "2")
-    t, _, _ = direct_sum(alg, [p2, s2])
     # S2 is a summand of T, so 0 -> S2 is already an Add-T presentation
-    assert pres_contains(t, s2).verdict
+    assert pres_contains([p2, s2], s2).verdict
 
 
 def test_add_contains(a2_wb):
@@ -145,3 +151,109 @@ def test_trace_and_gen_consistency(a3_wb):
             (sub, incl), flag = trace_and_gen(t, m)
             assert flag == gen_contains(t, m)
             assert incl.is_mono()
+
+
+# ---------------------------------------------------------------------------
+# whole-sum reference for Pres membership
+
+
+def _whole_sum_evaluation(t, m, coefficients):
+    """Map T^r -> M whose columns are the given combinations of the
+    Hom(T, M) basis; coefficients has shape (dim Hom, r)."""
+    alg = m.algebra
+    basis = hom_space(t, m)
+    r = coefficients.shape[1]
+    total, _, _ = direct_sum(alg, [t], [r])
+    maps = []
+    for vi in range(alg.n_vertices):
+        cols = []
+        for j in range(r):
+            acc = linalg.zeros(m.dims[vi], t.dims[vi])
+            for i, f in enumerate(basis):
+                c = int(coefficients[i, j])
+                if c:
+                    acc = (acc + c * f.vertex_maps[vi]) % alg.p
+            cols.append(acc)
+        maps.append(np.hstack(cols) if cols
+                    else linalg.zeros(m.dims[vi], 0))
+    return Morphism(total, m, maps)
+
+
+def _whole_sum_pres_contains(t, m):
+    """Pres membership on the whole sum T: factorize T^d -> M (then every
+    column space of coefficients) and test the kernel with gen_contains."""
+    if m.is_zero():
+        return MembershipWitness(True, {"route": "zero"})
+    if not gen_contains(t, m):
+        return MembershipWitness(False, {"reason": "not in Gen T"})
+    d = len(hom_space(t, m))
+    p = m.algebra.p
+    canonical = _whole_sum_evaluation(t, m, linalg.identity(d))
+    if gen_contains(t, factorize(canonical)["kernel"]):
+        return MembershipWitness(True, {"route": "canonical", "copies": d})
+    for r in range(1, d + 1):
+        if p ** (d * r) > modclasses._PRES_FALLBACK_CAP:
+            raise UndecidableError("cap")
+        for coeffs in modclasses._column_space_signatures(d, r, p):
+            h = _whole_sum_evaluation(t, m, coeffs)
+            if h.is_epi() and gen_contains(t, factorize(h)["kernel"]):
+                return MembershipWitness(
+                    True, {"route": "fallback", "copies": r})
+    return MembershipWitness(
+        False,
+        {"reason": "no Add-T cover has Gen-T kernel", "copies_tried": d})
+
+
+def _outcome(fn, *args):
+    try:
+        result = fn(*args)
+    except UndecidableError:
+        return "raises"
+    return result.verdict, result.witness
+
+
+@pytest.fixture(scope="module")
+def a3_f3_wb():
+    return load_workbench(zoo.linear_an(3, 3))
+
+
+@pytest.fixture(scope="module")
+def a3_f257_wb():
+    return load_workbench(zoo.linear_an(3, 257))
+
+
+@pytest.mark.parametrize("fixture,max_summands", [
+    ("a2_wb", None), ("a3_wb", None), ("nak3_wb", None), ("cyc2_wb", None),
+    ("a4_wb", 2), ("a3_f3_wb", None), ("a3_f257_wb", None)])
+def test_pres_contains_matches_whole_sum(request, fixture, max_summands):
+    wb = request.getfixturevalue(fixture)
+    for c in wb.all_candidates(max_summands):
+        t = wb.rep(c)
+        summands = [wb.members[i] for i in c]
+        for j in wb.gen_set(c):
+            m = wb.members[j]
+            assert (_outcome(pres_contains, summands, m)
+                    == _outcome(_whole_sum_pres_contains, t, m)), (
+                wb.candidate_name(c), wb.names[j])
+
+
+@pytest.mark.parametrize("fixture,names", [
+    ("a3_wb", ("S3", "S2", "S1", "P3")),
+    ("a4_wb", ("S2", "M[2,3]", "P2", "P4"))])
+def test_pres_contains_fallback_route(request, fixture, names):
+    """Over F2 the canonical cover of I2 (over A3, the interval module
+    M[2,3]) by T has a kernel outside Gen T, but a cover by one copy of T
+    does not; over A4 that cover maps more than one summand nonzero."""
+    wb = request.getfixturevalue(fixture)
+    c = tuple(sorted(wb.corpus.index_of(n) for n in names))
+    m = wb.members[wb.corpus.index_of("I2")]
+    expected = (True, {"route": "fallback", "copies": 1})
+    assert _outcome(pres_contains, [wb.members[i] for i in c], m) == expected
+    assert _outcome(_whole_sum_pres_contains, wb.rep(c), m) == expected
+
+
+def test_pres_contains_fallback_cap_raises(a3_f257_wb):
+    wb = a3_f257_wb
+    summands = [wb.members[wb.corpus.index_of(n)] for n in ("S2", "P3")]
+    with pytest.raises(UndecidableError):
+        pres_contains(summands, wb.members[wb.corpus.index_of("I2")])

@@ -260,3 +260,15 @@ def test_sincerity_square_builds_no_direct_sum(a3_wb, monkeypatch):
             predicate(wb, c)
     assert calls == []
     assert wb._rep_cache == {}
+
+
+def test_gen_eq_pres_builds_no_direct_sum(a3_wb, monkeypatch):
+    # a fresh Workbench first: its constructor builds R with direct_sum
+    wb = Workbench(a3_wb.corpus)
+    sums = _count_calls(monkeypatch, reps, "direct_sum")
+    factorizations = _count_calls(monkeypatch, reps, "factorize")
+    for c in wb.all_candidates():
+        wb.gen_eq_pres(c)
+    assert sums == []
+    assert factorizations == []
+    assert wb._rep_cache == {}
