@@ -23,7 +23,7 @@ otherwise.  Unknown keys are rejected with the offending line number.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .pathalg import (
     Algebra,

@@ -18,23 +18,22 @@ import numpy as np
 from . import linalg
 from .pathalg import Algebra
 from .reps import (
+    SEARCH_CAP,
     Morphism,
     Representation,
     UndecidableError,
-    direct_sum,
+    coefficient_vectors,
+    combination,
     hom_dim,
     hom_space,
     injective_module,
     is_isomorphic,
     projective_module,
     quotient_representation,
-    radical_spans,
+    radical_of_spans,
     simple_module,
     validate,
-    zero_representation,
 )
-
-_IDEMPOTENT_SEARCH_CAP = 1 << 16
 
 
 @dataclass
@@ -59,17 +58,6 @@ class Corpus:
 
 # ---------------------------------------------------------------------------
 # indecomposability
-
-
-def _end_elements(basis: list[Morphism], p: int):
-    for coeffs in itertools.product(range(p), repeat=len(basis)):
-        if not any(coeffs):
-            continue
-        f = basis[0].scale(coeffs[0])
-        for c, g in zip(coeffs[1:], basis[1:]):
-            if c:
-                f = f + g.scale(c)
-        yield f
 
 
 def _is_idempotent(f: Morphism) -> bool:
@@ -102,9 +90,10 @@ def is_indecomposable(m: Representation) -> bool:
     if e == 1:
         return True  # End = k . id is local
     p = m.algebra.p
-    if p**e <= _IDEMPOTENT_SEARCH_CAP:
+    if p**e <= SEARCH_CAP:
         ident = [linalg.identity(d) for d in m.dims]
-        for f in _end_elements(basis, p):
+        for coeffs in coefficient_vectors(e, p):
+            f = combination(basis, coeffs)
             if not _is_idempotent(f):
                 continue
             if all(np.array_equal(a, b)
@@ -114,17 +103,8 @@ def is_indecomposable(m: Representation) -> bool:
         return True
     # fall back to Fitting decompositions along basis endomorphisms and
     # seeded random combinations
-    rng = np.random.default_rng(0)
-    candidates = list(basis)
-    for _ in range(200):
-        coeffs = rng.integers(0, p, size=e)
-        if not coeffs.any():
-            continue
-        f = basis[0].scale(int(coeffs[0]))
-        for c, g in zip(coeffs[1:], basis[1:]):
-            if c:
-                f = f + g.scale(int(c))
-        candidates.append(f)
+    candidates = basis + [combination(basis, coeffs)
+                          for coeffs in coefficient_vectors(e, p, draws=200)]
     for f in candidates:
         if _fitting_splits(f):
             return False
@@ -201,28 +181,14 @@ def _nakayama_members(algebra: Algebra) -> list[Representation]:
     for v in algebra.vertices:
         pv = projective_module(algebra, v)
         length = pv.total_dim  # uniserial, so radical length = dimension
+        spans = [linalg.identity(d) for d in pv.dims]
         for k in range(1, length + 1):
-            quot, _ = quotient_representation(pv, _radical_power_spans(pv, k))
+            spans = radical_of_spans(pv, spans)  # J^k . P(v)
+            quot, _ = quotient_representation(pv, spans)
             quot.name = f"{v}|{k}"
             if not any(is_isomorphic(quot, m) for m in out):
                 out.append(quot)
     return out
-
-
-def _radical_power_spans(m: Representation, k: int) -> list[np.ndarray]:
-    """Per-vertex spans of J^k . M."""
-    spans = [linalg.identity(d) for d in m.dims]
-    alg = m.algebra
-    q = alg.quiver
-    for _ in range(k):
-        new = [linalg.zeros(d, 0) for d in m.dims]
-        for ai, arrow in enumerate(q.arrows):
-            u = q.vertex_index(arrow.source)
-            w = q.vertex_index(arrow.target)
-            pushed = linalg.matmul(m.arrow_maps[ai], spans[u], alg.p)
-            new[w] = np.hstack([new[w], pushed])
-        spans = [linalg.column_space_basis(s, alg.p) for s in new]
-    return spans
 
 
 # ---------------------------------------------------------------------------

@@ -9,7 +9,7 @@ never coerced to a number.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -77,7 +77,6 @@ def projective_cover(m: Representation) -> Morphism:
     alg = m.algebra
     p = alg.p
     rad = radical_spans(m)
-    summands: list[Representation] = []
     parts_data: list[tuple[str, np.ndarray]] = []
     for vi, v in enumerate(alg.vertices):
         for x in _complement_vectors(rad[vi], m.dims[vi], p):

@@ -18,17 +18,17 @@ from . import linalg
 from .corpus import Corpus, decompose
 from .homology import ext_dim
 from .reps import (
-    Morphism,
+    SEARCH_CAP,
     Representation,
     UndecidableError,
+    coefficient_vectors,
+    combination,
     hom_space,
     quotient_representation,
-    radical_spans,
+    radical_of_spans,
     span_closure,
     sub_representation,
 )
-
-_PRES_FALLBACK_CAP = 1 << 16
 
 
 @dataclass
@@ -75,7 +75,7 @@ def gen_contains(t: Representation, m: Representation) -> bool:
 def _column_space_signatures(d: int, r: int, p: int):
     """Full-column-rank coefficient matrices d x r, one per column space."""
     seen: set[bytes] = set()
-    for flat in itertools.product(range(p), repeat=d * r):
+    for flat in coefficient_vectors(d * r, p):
         c = np.array(flat, dtype=np.int64).reshape(d, r)
         if linalg.rank(c, p) != r:
             continue
@@ -143,14 +143,6 @@ def _kernel_in_gen(summands: Sequence[Representation], components,
         for off, spans, e in zip(offsets, traces, evaluation))
 
 
-def _combination(basis: list[Morphism], coefficients: np.ndarray,
-                 p: int) -> Morphism:
-    maps = [sum(int(c) * f.vertex_maps[vi]
-                for c, f in zip(coefficients, basis)) % p
-            for vi in range(len(basis[0].vertex_maps))]
-    return Morphism(basis[0].source, basis[0].target, maps)
-
-
 def pres_contains(summands: Sequence[Representation],
                   m: Representation) -> MembershipWitness:
     """Is M the cokernel of a map between finite Add-T sums, for T the
@@ -164,9 +156,9 @@ def pres_contains(summands: Sequence[Representation],
     that fails, every column space of d x r coefficient matrices over the
     concatenated bases is tried for r < d (any Add-T presentation reduces
     to one of these by splitting off redundant copies; r = d is the
-    canonical map again), each column split into its nonzero per-summand
-    parts.  Kernels are tested by left exactness (``_kernel_in_gen``),
-    so no direct sum and no kernel module is built.
+    canonical map again, so it is not retried), each column split into its
+    nonzero per-summand parts.  Kernels are tested by left exactness
+    (``_kernel_in_gen``), so no direct sum and no kernel module is built.
     """
     if m.is_zero():
         return MembershipWitness(True, {"route": "zero"})
@@ -179,16 +171,14 @@ def pres_contains(summands: Sequence[Representation],
     if _kernel_in_gen(summands, canonical, m):
         return MembershipWitness(True, {"route": "canonical", "copies": d})
     splits = list(itertools.accumulate(len(b) for b in bases))[:-1]
-    for r in range(1, d + 1):
-        if p ** (d * r) > _PRES_FALLBACK_CAP:
+    for r in range(1, d):
+        if p ** (d * r) > SEARCH_CAP:
             raise UndecidableError(
                 "Pres-membership fallback search space exceeds the cap"
             )
-        if r == d:
-            break  # the one d-dimensional column space: canonical again
         for coeffs in _column_space_signatures(d, r, p):
             components = [
-                (i, _combination(basis, part, p))
+                (i, combination(basis, part))
                 for col in coeffs.T
                 for i, (basis, part) in enumerate(
                     zip(bases, np.split(col, splits)))
@@ -310,17 +300,15 @@ def subfac_facsub(t: Representation, s: Representation):
     offset = sum(t.dims[:vi])
     x = np.zeros(t.total_dim, dtype=np.int64)
     x[offset] = 1
-    # Facsub: the cyclic submodule generated by x has top S(v)
+    # Facsub: the cyclic submodule U = <x> has top U / J.U = S(v)
     gen_spans = span_closure(t, [x])
-    sub, _ = sub_representation(t, gen_spans)
-    sub_rad = radical_spans(sub)
-    top_mults = [sub.dims[i] - sub_rad[i].shape[1]
-                 for i in range(len(sub.dims))]
+    rad_of_cyclic = radical_of_spans(t, gen_spans)
+    sub_dims = tuple(span.shape[1] for span in gen_spans)
+    top_mults = [d - r.shape[1] for d, r in zip(sub_dims, rad_of_cyclic)]
     facsub_ok = (top_mults[vi] == 1
                  and all(mlt == 0 for i, mlt in enumerate(top_mults)
                          if i != vi))
     # Subfac: quotient by J . <x> keeps x alive and kills its radical
-    rad_of_cyclic = _radical_of_spans(t, gen_spans)
     quot, proj = quotient_representation(t, rad_of_cyclic)
     image_x = (proj.vertex_maps[vi] @ x[offset:offset + t.dims[vi]]) % alg.p
     socle_ok = bool(image_x.any())
@@ -335,47 +323,10 @@ def subfac_facsub(t: Representation, s: Representation):
                 break
     witnesses = {
         "vertex": v,
-        "facsub_submodule_dims": sub.dims,
+        "facsub_submodule_dims": sub_dims,
         "subfac_quotient_dims": quot.dims,
     }
     return socle_ok, facsub_ok, witnesses
-
-
-def _radical_of_spans(m: Representation, spans: list[np.ndarray]):
-    """Spans of J . U for the subrepresentation with the given spans."""
-    alg = m.algebra
-    q = alg.quiver
-    out = [linalg.zeros(d, 0) for d in m.dims]
-    current = spans
-    for ai, arrow in enumerate(q.arrows):
-        u = q.vertex_index(arrow.source)
-        w = q.vertex_index(arrow.target)
-        pushed = linalg.matmul(m.arrow_maps[ai], current[u], alg.p)
-        out[w] = np.hstack([out[w], pushed])
-    closed = span_closure_of_spans(m, out)
-    return closed
-
-
-def span_closure_of_spans(m: Representation, spans: list[np.ndarray]):
-    """Close per-vertex spans under the arrow action."""
-    alg = m.algebra
-    q = alg.quiver
-    p = alg.p
-    spans = [linalg.column_space_basis(s, p) for s in spans]
-    ranks = [s.shape[1] for s in spans]
-    while True:
-        new = list(spans)
-        for ai, arrow in enumerate(q.arrows):
-            u = q.vertex_index(arrow.source)
-            w = q.vertex_index(arrow.target)
-            pushed = linalg.matmul(m.arrow_maps[ai], spans[u], p)
-            if pushed.shape[1]:
-                new[w] = np.hstack([new[w], pushed])
-        new = [linalg.column_space_basis(s, p) for s in new]
-        new_ranks = [s.shape[1] for s in new]
-        if new_ranks == ranks:
-            return new
-        spans, ranks = new, new_ranks
 
 
 __all__ = [

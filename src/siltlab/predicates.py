@@ -21,6 +21,7 @@ summands.  Only the worked example builds the whole candidate, with
 
 from __future__ import annotations
 
+import itertools
 import time
 from dataclasses import dataclass
 
@@ -124,7 +125,7 @@ class Workbench:
         limit = n if max_summands is None else min(max_summands, n)
         out = [()]
         for size in range(1, limit + 1):
-            out.extend(_subsets(n, size))
+            out.extend(itertools.combinations(range(n), size))
         return out
 
     def candidate_name(self, candidate: Candidate) -> str:
@@ -245,12 +246,6 @@ class Workbench:
             if not pres_contains(summands, self.members[j]).verdict:
                 return False
         return True
-
-
-def _subsets(n: int, size: int):
-    import itertools
-
-    return list(itertools.combinations(range(n), size))
 
 
 def _report(wb, candidate, predicate, verdict, route, witness, start):

@@ -55,7 +55,6 @@ class Representation:
     def path_action(self, path: Path) -> np.ndarray:
         """Matrix of the path's action, M_end x M_start."""
         alg = self.algebra
-        q = alg.quiver
         mat = linalg.identity(self.vdim(path.start))
         for ai in path.arrows:
             mat = linalg.matmul(self.arrow_maps[ai], mat, alg.p)
@@ -122,17 +121,6 @@ class Morphism:
                 for f, g in zip(self.vertex_maps, other.vertex_maps)]
         return Morphism(other.source, self.target, maps)
 
-    def __add__(self, other: "Morphism") -> "Morphism":
-        p = self.source.algebra.p
-        maps = [(f + g) % p
-                for f, g in zip(self.vertex_maps, other.vertex_maps)]
-        return Morphism(self.source, self.target, maps)
-
-    def scale(self, c: int) -> "Morphism":
-        p = self.source.algebra.p
-        return Morphism(self.source, self.target,
-                        [(c * m) % p for m in self.vertex_maps])
-
     def flatten(self) -> np.ndarray:
         if not self.vertex_maps:
             return np.zeros(0, dtype=np.int64)
@@ -140,11 +128,8 @@ class Morphism:
 
 
 def zero_representation(algebra: Algebra) -> Representation:
-    n = algebra.n_vertices
-    dims = [0] * n
-    maps = []
-    for arrow in algebra.quiver.arrows:
-        maps.append(linalg.zeros(0, 0))
+    dims = [0] * algebra.n_vertices
+    maps = [linalg.zeros(0, 0) for _ in algebra.quiver.arrows]
     return Representation(algebra, dims, maps, name="0")
 
 
@@ -439,41 +424,23 @@ def quotient_representation(n: Representation, spans: list[np.ndarray]):
 def span_closure(m: Representation, vectors: list[np.ndarray]):
     """Per-vertex spans of the submodule generated by the given vectors.
 
-    Each vector is a concatenated coordinate tuple over all vertices.
+    Each vector is a concatenated coordinate tuple over all vertices.  The
+    spans grow as U <- U + J.U until their ranks stop growing.
     """
-    alg = m.algebra
-    q = alg.quiver
-    p = alg.p
-    nv = alg.n_vertices
-    offsets = np.concatenate([[0], np.cumsum(m.dims)])
-    spans = [linalg.zeros(m.dims[i], 0) for i in range(nv)]
-    cols: list[list[np.ndarray]] = [[] for _ in range(nv)]
+    p = m.algebra.p
+    columns = [linalg.zeros(m.total_dim, 0)]
     for vec in vectors:
-        vec = linalg.reduce_mod(vec, p).reshape(-1)
-        if vec.shape[0] != m.total_dim:
+        columns.append(linalg.reduce_mod(vec, p).reshape(-1, 1))
+        if columns[-1].shape[0] != m.total_dim:
             raise MalformedInputError("generator vector has wrong length")
-        for i in range(nv):
-            comp = vec[offsets[i]:offsets[i + 1]]
-            if comp.any():
-                cols[i].append(comp)
-    spans = [
-        np.stack(c, axis=1) if c else linalg.zeros(m.dims[i], 0)
-        for i, c in enumerate(cols)
-    ]
-    ranks = [linalg.rank(s, p) for s in spans]
+    blocks = np.split(np.hstack(columns), np.cumsum(m.dims)[:-1])
+    spans = [linalg.column_space_basis(b, p) for b in blocks]
     while True:
-        new_spans = list(spans)
-        for ai, arrow in enumerate(q.arrows):
-            u = q.vertex_index(arrow.source)
-            w = q.vertex_index(arrow.target)
-            pushed = linalg.matmul(m.arrow_maps[ai], spans[u], p)
-            if pushed.shape[1]:
-                new_spans[w] = np.hstack([new_spans[w], pushed])
-        new_spans = [linalg.column_space_basis(s, p) for s in new_spans]
-        new_ranks = [s.shape[1] for s in new_spans]
-        if new_ranks == ranks:
-            return new_spans
-        spans, ranks = new_spans, new_ranks
+        grown = [linalg.column_space_basis(np.hstack([s, r]), p)
+                 for s, r in zip(spans, radical_of_spans(m, spans))]
+        if all(g.shape[1] == s.shape[1] for g, s in zip(grown, spans)):
+            return grown
+        spans = grown
 
 
 def sub_quotient(m: Representation, generators: list[np.ndarray], mode: str):
@@ -574,14 +541,23 @@ def direct_sum(algebra: Algebra, reps: list[Representation],
 # radical / top / socle, composition factors
 
 
-def radical_spans(m: Representation) -> list[np.ndarray]:
+def radical_of_spans(m: Representation,
+                     spans: list[np.ndarray]) -> list[np.ndarray]:
+    """Canonical per-vertex spans of J.U = sum over arrows a: u -> w of
+    M_a U_u, for U given by per-vertex spans.  When U is a submodule, so
+    is J.U."""
     alg = m.algebra
     q = alg.quiver
-    spans = [linalg.zeros(d, 0) for d in m.dims]
+    pushed = [[linalg.zeros(d, 0)] for d in m.dims]
     for ai, arrow in enumerate(q.arrows):
+        u = q.vertex_index(arrow.source)
         w = q.vertex_index(arrow.target)
-        spans[w] = np.hstack([spans[w], m.arrow_maps[ai]])
-    return [linalg.column_space_basis(s, alg.p) for s in spans]
+        pushed[w].append(linalg.matmul(m.arrow_maps[ai], spans[u], alg.p))
+    return [linalg.column_space_basis(np.hstack(c), alg.p) for c in pushed]
+
+
+def radical_spans(m: Representation) -> list[np.ndarray]:
+    return radical_of_spans(m, [linalg.identity(d) for d in m.dims])
 
 
 def socle_spans(m: Representation) -> list[np.ndarray]:
@@ -602,7 +578,6 @@ def socle_spans(m: Representation) -> list[np.ndarray]:
 def top_multiplicities(m: Representation) -> list[int]:
     """Multiplicity of S(v) in top M, by vertex index."""
     rad_sp = radical_spans(m)
-    p = m.algebra.p
     return [m.dims[i] - rad_sp[i].shape[1] for i in range(len(m.dims))]
 
 
@@ -637,37 +612,57 @@ def jordan_holder_factors(m: Representation) -> dict[str, int]:
 # isomorphism testing
 
 
-_EXHAUSTIVE_HOM_DIM = 8
+# A search over combinations of a Hom basis of dimension h is exhaustive
+# iff p**h is at most this; beyond it, searches sample or refuse.
+SEARCH_CAP = 1 << 16
 _SAMPLE_COUNT = 20000
 
 
+def coefficient_vectors(h: int, p: int, draws: int | None = None):
+    """Nonzero coefficient vectors for a Hom basis of dimension h: all of
+    them in itertools.product order, or, given ``draws``, that many
+    seeded draws from default_rng(0) with the zero draws skipped."""
+    if draws is None:
+        for coeffs in itertools.product(range(p), repeat=h):
+            if any(coeffs):
+                yield coeffs
+        return
+    rng = np.random.default_rng(0)
+    for _ in range(draws):
+        coeffs = rng.integers(0, p, size=h)
+        if coeffs.any():
+            yield coeffs
+
+
+def combination(basis: list[Morphism], coeffs) -> Morphism:
+    """The morphism sum_k c_k f_k over a nonempty Hom basis."""
+    first = basis[0]
+    maps = [sum(int(c) * f.vertex_maps[vi] for c, f in zip(coeffs, basis))
+            for vi in range(len(first.vertex_maps))]
+    return Morphism(first.source, first.target, maps)
+
+
 def _iso_witness_search(m, n, basis):
+    """First isomorphism among the combinations of the Hom(M, N) basis.
+
+    The exhaustive search tests only vectors whose first nonzero entry is
+    1: scalar multiples of an isomorphism are isomorphisms, so the first
+    isomorphism in product order is found all the same.
+    """
     p = m.algebra.p
     h = len(basis)
     if h == 0:
         return None
-    if p ** h <= p ** _EXHAUSTIVE_HOM_DIM:
-        for coeffs in itertools.product(range(p), repeat=h):
-            if not any(coeffs):
-                continue
-            f = basis[0].scale(coeffs[0])
-            for c, g in zip(coeffs[1:], basis[1:]):
-                if c:
-                    f = f + g.scale(c)
-            if f.is_iso():
-                return f
-        return None
-    rng = np.random.default_rng(0)
-    for _ in range(_SAMPLE_COUNT):
-        coeffs = rng.integers(0, p, size=h)
-        if not coeffs.any():
+    exhaustive = p ** h <= SEARCH_CAP
+    for coeffs in coefficient_vectors(h, p,
+                                      None if exhaustive else _SAMPLE_COUNT):
+        if exhaustive and next(c for c in coeffs if c) != 1:
             continue
-        f = basis[0].scale(int(coeffs[0]))
-        for c, g in zip(coeffs[1:], basis[1:]):
-            if c:
-                f = f + g.scale(int(c))
+        f = combination(basis, coeffs)
         if f.is_iso():
             return f
+    if exhaustive:
+        return None
     raise UndecidableError(
         "isomorphism search space too large for exhaustion and sampling "
         "found no witness; refusing to answer"
@@ -692,7 +687,10 @@ __all__ = [
     "AlgebraMismatchError",
     "Morphism",
     "Representation",
+    "SEARCH_CAP",
     "UndecidableError",
+    "coefficient_vectors",
+    "combination",
     "composition_factors",
     "direct_sum",
     "factorize",
@@ -705,6 +703,8 @@ __all__ = [
     "jordan_holder_factors",
     "projective_module",
     "quotient_representation",
+    "radical_of_spans",
+    "radical_spans",
     "regular_module",
     "simple_module",
     "socle_multiplicities",

@@ -1,8 +1,15 @@
 import pytest
 
+from siltlab import zoo
+from siltlab.algfile import parse_algebra_file
 from siltlab.corpus import decompose, enumerate_indecomposables, is_indecomposable
+from siltlab.harness import load_workbench
 from siltlab.reps import (
+    SEARCH_CAP,
+    Morphism,
+    UndecidableError,
     direct_sum,
+    hom_dim,
     injective_module,
     is_isomorphic,
     projective_module,
@@ -52,6 +59,51 @@ def test_indecomposability(a2_algebra):
     assert is_indecomposable(s1)
     summed, _, _ = direct_sum(alg, [p2, s1])
     assert not is_indecomposable(summed)
+
+
+def test_fitting_fallback_finds_split(a2_algebra):
+    """End(S1^5) has dimension 25, past the exhaustive cap over F2; the
+    Fitting fallback splits it along a basis endomorphism."""
+    s1 = simple_module(a2_algebra, "1")
+    m, _, _ = direct_sum(a2_algebra, [s1], [5])
+    assert 2 ** hom_dim(m, m) > SEARCH_CAP
+    assert not is_indecomposable(m)
+
+
+LOCAL_LOOP_F257 = """field 257
+family generic
+vertices 1
+arrow x: 1 -> 1
+relation x*x*x
+nilpotency 3
+"""
+
+
+def test_fitting_fallback_raises_without_split():
+    """P1 = k[x]/(x^3) over F257 is local with a 3-dimensional End: past
+    the cap, and no Fitting decomposition splits it, so the search
+    refuses."""
+    alg = parse_algebra_file(LOCAL_LOOP_F257).build()
+    p1 = projective_module(alg, "1")
+    assert 257 ** hom_dim(p1, p1) > SEARCH_CAP
+    with pytest.raises(UndecidableError):
+        is_indecomposable(p1)
+
+
+def test_large_prime_load_makes_few_iso_tests(monkeypatch):
+    """Each isomorphism test over F_65521 tries a few leading-1 or sampled
+    combinations, not every nonzero scalar of a 1-dimensional Hom."""
+    calls = []
+    is_iso = Morphism.is_iso
+
+    def counted(f):
+        calls.append(f)
+        return is_iso(f)
+
+    monkeypatch.setattr(Morphism, "is_iso", counted)
+    wb = load_workbench(zoo.cyclic_nakayama_2(65521))
+    assert wb.names == ["S2", "S1", "P2", "P1"]
+    assert len(calls) <= 10
 
 
 def test_decompose_identifies_summands(a3_wb):

@@ -240,6 +240,26 @@ def test_verify_report_golden_hash(request, fixture):
     assert digest == GOLDEN_VERIFY_SHA256[fixture]
 
 
+# sha256 of `siltlab indec list --strategy brute` at SILTLAB_MAX_DIM=4,
+# pinned like the report hashes above: the brute corpus runs the
+# indecomposability and isomorphism searches on every representation.
+GOLDEN_BRUTE_SHA256 = {
+    "a3": "7a00f13330325644eb335fabea27bbd52066100aecf243d5edda2cc9c1dd06d0",
+    "nakayama_cycle2":
+        "29f9d06995e8785275910a2d20049baca34e959c4cf5887a92adffde10b1c53a",
+}
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_BRUTE_SHA256))
+def test_brute_corpus_golden_hash(capsys, alg_dir, monkeypatch, name):
+    monkeypatch.setenv("SILTLAB_MAX_DIM", "4")
+    code, out, _ = run_cli(capsys, "indec", "list",
+                           str(alg_dir / f"{name}.alg"), "--strategy", "brute")
+    assert code == 0
+    digest = hashlib.sha256(out.encode()).hexdigest()
+    assert digest == GOLDEN_BRUTE_SHA256[name]
+
+
 def test_default_strategy(a2_parsed, nak3_parsed):
     assert harness.default_strategy(a2_parsed) == "classified"
     assert harness.default_strategy(nak3_parsed) == "classified"

@@ -1,3 +1,6 @@
+import functools
+import math
+
 import numpy as np
 import pytest
 
@@ -16,6 +19,7 @@ from siltlab.modclasses import (
     trace_spans,
 )
 from siltlab.reps import (
+    SEARCH_CAP,
     Morphism,
     UndecidableError,
     direct_sum,
@@ -179,9 +183,10 @@ def _whole_sum_evaluation(t, m, coefficients):
     return Morphism(total, m, maps)
 
 
-def _whole_sum_pres_contains(t, m):
+def _whole_sum_pres_contains(t, m, cap=SEARCH_CAP):
     """Pres membership on the whole sum T: factorize T^d -> M (then every
-    column space of coefficients) and test the kernel with gen_contains."""
+    column space of coefficients, for r up to d) and test the kernel with
+    gen_contains; raises at the first r with p^(d*r) > cap."""
     if m.is_zero():
         return MembershipWitness(True, {"route": "zero"})
     if not gen_contains(t, m):
@@ -192,9 +197,9 @@ def _whole_sum_pres_contains(t, m):
     if gen_contains(t, factorize(canonical)["kernel"]):
         return MembershipWitness(True, {"route": "canonical", "copies": d})
     for r in range(1, d + 1):
-        if p ** (d * r) > modclasses._PRES_FALLBACK_CAP:
+        if p ** (d * r) > cap:
             raise UndecidableError("cap")
-        for coeffs in modclasses._column_space_signatures(d, r, p):
+        for coeffs in _signatures(d, r, p):
             h = _whole_sum_evaluation(t, m, coeffs)
             if h.is_epi() and gen_contains(t, factorize(h)["kernel"]):
                 return MembershipWitness(
@@ -202,6 +207,11 @@ def _whole_sum_pres_contains(t, m):
     return MembershipWitness(
         False,
         {"reason": "no Add-T cover has Gen-T kernel", "copies_tried": d})
+
+
+@functools.cache
+def _signatures(d, r, p):
+    return list(modclasses._column_space_signatures(d, r, p))
 
 
 def _outcome(fn, *args):
@@ -257,3 +267,34 @@ def test_pres_contains_fallback_cap_raises(a3_f257_wb):
     summands = [wb.members[wb.corpus.index_of(n)] for n in ("S2", "P3")]
     with pytest.raises(UndecidableError):
         pres_contains(summands, wb.members[wb.corpus.index_of("I2")])
+
+
+# Over A3/F17 these (candidate, Gen member) pairs have d = dim Hom(T, M) = 2
+# and no cover by one copy of T; the last round, r = d, would exceed the
+# cap, but its one column space is the canonical map, already tested.
+F17_PAIRS_DECIDED_AT_R_EQUALS_D = {
+    ("S2+P3", "I2"), ("I2+P3", "S3"), ("P2+P3", "I2"),
+    ("S3+S2+P3", "I2"), ("S3+P2+P3", "I2"), ("S1+I2+P3", "S3")}
+
+
+def test_pres_fallback_skips_the_canonical_round():
+    """pres_contains agrees with the whole-sum reference on every pair over
+    A3/F17 except the six where the reference reaches r = d past the cap
+    and raises; there it agrees with the reference with its cap lifted."""
+    wb = load_workbench(zoo.linear_an(3, 17))
+    undecided_by_reference = set()
+    for c in wb.all_candidates():
+        summands = [wb.members[i] for i in c]
+        for j in wb.gen_set(c):
+            m = wb.members[j]
+            got = _outcome(pres_contains, summands, m)
+            reference = _outcome(_whole_sum_pres_contains, wb.rep(c), m)
+            if got == reference:
+                continue
+            assert reference == "raises"
+            assert got == _outcome(_whole_sum_pres_contains, wb.rep(c), m,
+                                   math.inf)
+            assert got == (False, {"reason": "no Add-T cover has Gen-T "
+                                   "kernel", "copies_tried": 2})
+            undecided_by_reference.add((wb.candidate_name(c), wb.names[j]))
+    assert undecided_by_reference == F17_PAIRS_DECIDED_AT_R_EQUALS_D

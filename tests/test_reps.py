@@ -1,10 +1,16 @@
+import itertools
+
 import numpy as np
 import pytest
 
-from siltlab import linalg
+from siltlab import linalg, zoo
 from siltlab.reps import (
+    SEARCH_CAP,
     Morphism,
     Representation,
+    UndecidableError,
+    coefficient_vectors,
+    combination,
     composition_factors,
     direct_sum,
     factorize,
@@ -16,9 +22,12 @@ from siltlab.reps import (
     jordan_holder_factors,
     projective_module,
     quotient_representation,
+    radical_of_spans,
+    radical_spans,
     regular_module,
     simple_module,
     socle_multiplicities,
+    span_closure,
     sub_quotient,
     top_multiplicities,
     validate,
@@ -183,3 +192,167 @@ def test_hom_cache_survives_id_reuse(a2_algebra):
         del s2
         wrong += hom_dim(s1, simple_module(a2_algebra, "1")) != 1
     assert wrong == 0
+
+
+# ---------------------------------------------------------------------------
+# span primitive against path images
+
+
+def _composable_paths(quiver, length):
+    """Arrow-index sequences of the given length, in traversal order."""
+    seqs = [()]
+    for _ in range(length):
+        seqs = [s + (b,) for s in seqs
+                for b, arrow in enumerate(quiver.arrows)
+                if not s or quiver.arrows[s[-1]].target == arrow.source]
+    return seqs
+
+
+def _path_images(m, spans, lengths):
+    """Canonical per-vertex spans of every path of the given lengths
+    applied to per-vertex spans."""
+    q = m.algebra.quiver
+    p = m.algebra.p
+    out = [[linalg.zeros(d, 0)] for d in m.dims]
+    for length in lengths:
+        if length == 0:
+            for cols, span in zip(out, spans):
+                cols.append(span)
+            continue
+        for seq in _composable_paths(q, length):
+            mat = spans[q.vertex_index(q.arrows[seq[0]].source)]
+            for a in seq:
+                mat = linalg.matmul(m.arrow_maps[a], mat, p)
+            out[q.vertex_index(q.arrows[seq[-1]].target)].append(mat)
+    return [linalg.column_space_basis(np.hstack(c), p) for c in out]
+
+
+def _same_spans(a, b):
+    return all(x.shape == y.shape and np.array_equal(x, y)
+               for x, y in zip(a, b))
+
+
+@pytest.mark.parametrize("fixture", ["a3_wb", "nak3_wb", "cyc2_wb", "a4_wb"])
+def test_spans_match_path_images(request, fixture):
+    """J^k.M is spanned by the paths of length k, and the submodule
+    generated by vectors by all their path images; every span comes out
+    canonical, so the bytes agree."""
+    wb = request.getfixturevalue(fixture)
+    p = wb.algebra.p
+    rng = np.random.default_rng(1)
+    for m in [*wb.members, regular_module(wb.algebra)]:
+        full = [linalg.identity(d) for d in m.dims]
+        assert _same_spans(radical_spans(m), _path_images(m, full, [1]))
+        power = full
+        for k in range(1, m.total_dim + 1):
+            power = radical_of_spans(m, power)
+            assert _same_spans(power, _path_images(m, full, [k]))
+        for n_vectors in (1, 2):
+            vectors = [rng.integers(0, p, size=m.total_dim)
+                       for _ in range(n_vectors)]
+            offsets = np.cumsum(m.dims)[:-1]
+            gens = [np.stack(parts, axis=1) for parts in zip(
+                *(np.split(v, offsets) for v in vectors))]
+            lengths = range(m.total_dim + 1)
+            closed = span_closure(m, vectors)
+            assert _same_spans(closed, _path_images(m, gens, lengths))
+            assert _same_spans(radical_of_spans(m, closed),
+                               _path_images(m, gens, lengths[1:]))
+
+
+def test_span_closure_rejects_wrong_length(a2_algebra):
+    p2 = projective_module(a2_algebra, "2")
+    with pytest.raises(linalg.MalformedInputError):
+        span_closure(p2, [np.zeros(p2.total_dim + 1, dtype=np.int64)])
+
+
+# ---------------------------------------------------------------------------
+# coefficient enumeration and the isomorphism search
+
+
+@pytest.mark.parametrize("h,p", [(0, 3), (1, 2), (3, 2), (2, 5)])
+def test_coefficient_vectors_product_order(h, p):
+    assert list(coefficient_vectors(h, p)) == [
+        c for c in itertools.product(range(p), repeat=h) if any(c)]
+
+
+@pytest.mark.parametrize("h,p,draws", [(2, 2, 200), (4, 257, 50),
+                                       (25, 2, 200)])
+def test_coefficient_vectors_seeded_draws(h, p, draws):
+    """The same draws, zero draws skipped, as a loop over
+    default_rng(0).integers(0, p, size=h)."""
+    rng = np.random.default_rng(0)
+    expected = []
+    for _ in range(draws):
+        coeffs = rng.integers(0, p, size=h)
+        if coeffs.any():
+            expected.append(coeffs)
+    got = list(coefficient_vectors(h, p, draws))
+    assert len(got) == len(expected)
+    assert all(np.array_equal(a, b) for a, b in zip(got, expected))
+    if (h, p) == (2, 2):
+        assert len(got) < draws
+
+
+def test_combination_is_reduced_linear_combination(a3_wb):
+    p = a3_wb.algebra.p
+    rng = np.random.default_rng(2)
+    for m in a3_wb.members:
+        for n in a3_wb.members:
+            basis = hom_space(m, n)
+            if not basis:
+                continue
+            coeffs = rng.integers(0, p, size=len(basis))
+            f = combination(basis, coeffs)
+            assert f.source is m and f.target is n and f.is_natural()
+            for vi, mat in enumerate(f.vertex_maps):
+                expected = sum(int(c) * g.vertex_maps[vi]
+                               for c, g in zip(coeffs, basis)) % p
+                assert np.array_equal(mat, expected)
+
+
+def _first_iso_in_product_order(basis, p):
+    for coeffs in itertools.product(range(p), repeat=len(basis)):
+        if not any(coeffs):
+            continue
+        maps = [sum(c * f.vertex_maps[vi] for c, f in zip(coeffs, basis))
+                % p for vi in range(len(basis[0].vertex_maps))]
+        if Morphism(basis[0].source, basis[0].target, maps).is_iso():
+            return maps
+    return None
+
+
+def test_iso_witness_is_first_in_product_order():
+    """Testing only vectors with leading coefficient 1 finds the same
+    witness as testing every nonzero vector in product order."""
+    alg = zoo.a2(3).build()
+    s1 = simple_module(alg, "1")
+    p2 = projective_module(alg, "2")
+    x, _, _ = direct_sum(alg, [s1, s1, p2])
+    y, _, _ = direct_sum(alg, [p2, s1, s1])
+    for m, n in [(x, x), (x, y), (y, x), (s1, s1), (p2, p2)]:
+        basis = hom_space(m, n)
+        assert 3 ** len(basis) <= SEARCH_CAP
+        found, witness = is_isomorphic(m, n, with_witness=True)
+        assert found
+        expected = _first_iso_in_product_order(basis, 3)
+        assert all(np.array_equal(a, b)
+                   for a, b in zip(witness.vertex_maps, expected))
+
+
+def test_iso_search_samples_beyond_cap():
+    """Over F_257 a Hom basis of dimension 4 is past the cap: the sampled
+    search finds an isomorphism when there is one and refuses otherwise."""
+    alg = zoo.a2(257).build()
+    s1 = simple_module(alg, "1")
+    s2 = simple_module(alg, "2")
+    p2 = projective_module(alg, "2")
+    twice, _, _ = direct_sum(alg, [s1, s1])
+    assert 257 ** hom_dim(twice, twice) > SEARCH_CAP
+    found, witness = is_isomorphic(twice, twice, with_witness=True)
+    assert found and witness.is_iso() and witness.is_natural()
+    m, _, _ = direct_sum(alg, [s1, s1, s2])
+    n, _, _ = direct_sum(alg, [s1, p2])
+    assert m.dims == n.dims and 257 ** hom_dim(m, n) > SEARCH_CAP
+    with pytest.raises(UndecidableError):
+        is_isomorphic(m, n)
