@@ -612,20 +612,26 @@ def jordan_holder_factors(m: Representation) -> dict[str, int]:
 # isomorphism testing
 
 
-# A search over combinations of a Hom basis of dimension h is exhaustive
-# iff p**h is at most this; beyond it, searches sample or refuse.
+# A search over combinations of a Hom basis is exhaustive iff the vectors
+# it tests number at most this (p**h for h basis maps, or (p**h - 1)/(p - 1)
+# for the isomorphism search); beyond it, searches sample or refuse.
 SEARCH_CAP = 1 << 16
 _SAMPLE_COUNT = 20000
 
 
-def coefficient_vectors(h: int, p: int, draws: int | None = None):
+def coefficient_vectors(h: int, p: int, draws: int | None = None,
+                        leading_one: bool = False):
     """Nonzero coefficient vectors for a Hom basis of dimension h: all of
-    them in itertools.product order, or, given ``draws``, that many
-    seeded draws from default_rng(0) with the zero draws skipped."""
+    them in itertools.product order (given ``leading_one``, only those
+    whose first nonzero entry is 1, still in that order), or, given
+    ``draws``, that many seeded draws from default_rng(0) with the zero
+    draws skipped."""
     if draws is None:
-        for coeffs in itertools.product(range(p), repeat=h):
-            if any(coeffs):
-                yield coeffs
+        leads = (1,) if leading_one else range(1, p)
+        for k in reversed(range(h)):
+            for lead in leads:
+                for tail in itertools.product(range(p), repeat=h - k - 1):
+                    yield (0,) * k + (lead,) + tail
         return
     rng = np.random.default_rng(0)
     for _ in range(draws):
@@ -647,17 +653,19 @@ def _iso_witness_search(m, n, basis):
 
     The exhaustive search tests only vectors whose first nonzero entry is
     1: scalar multiples of an isomorphism are isomorphisms, so the first
-    isomorphism in product order is found all the same.
+    isomorphism in product order is found all the same.  It runs iff
+    those (p^h - 1)/(p - 1) vectors are at most SEARCH_CAP.
     """
     p = m.algebra.p
     h = len(basis)
     if h == 0:
         return None
-    exhaustive = p ** h <= SEARCH_CAP
-    for coeffs in coefficient_vectors(h, p,
-                                      None if exhaustive else _SAMPLE_COUNT):
-        if exhaustive and next(c for c in coeffs if c) != 1:
-            continue
+    exhaustive = (p ** h - 1) // (p - 1) <= SEARCH_CAP
+    if exhaustive:
+        vectors = coefficient_vectors(h, p, leading_one=True)
+    else:
+        vectors = coefficient_vectors(h, p, _SAMPLE_COUNT)
+    for coeffs in vectors:
         f = combination(basis, coeffs)
         if f.is_iso():
             return f

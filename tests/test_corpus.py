@@ -2,7 +2,14 @@ import pytest
 
 from siltlab import zoo
 from siltlab.algfile import parse_algebra_file
-from siltlab.corpus import decompose, enumerate_indecomposables, is_indecomposable
+from siltlab.corpus import (
+    _assign_names,
+    _nakayama_members,
+    _sorted_members,
+    decompose,
+    enumerate_indecomposables,
+    is_indecomposable,
+)
 from siltlab.harness import load_workbench
 from siltlab.reps import (
     SEARCH_CAP,
@@ -88,6 +95,36 @@ def test_fitting_fallback_raises_without_split():
     assert 257 ** hom_dim(p1, p1) > SEARCH_CAP
     with pytest.raises(UndecidableError):
         is_indecomposable(p1)
+
+
+CYCLE2_LENGTH4_F257 = """field 257
+family nakayama
+vertices 1 2
+arrow a: 1 -> 2
+arrow b: 2 -> 1
+relation a*b*a*b
+relation b*a*b*a
+nilpotency 4
+"""
+
+
+def test_iso_search_exhausts_leading_one_vectors_under_cap():
+    """P1 and P2 of the length-4 2-cycle Nakayama algebra over F257 have
+    the same dimension vector and dim Hom(P2, P1) = 2: 257^2 vectors are
+    past the cap, but the 258 with leading coefficient 1 are not, so the
+    search is exhaustive and answers False.  The classified members and
+    their names are those of the full product-order search."""
+    alg = parse_algebra_file(CYCLE2_LENGTH4_F257).build()
+    p1 = projective_module(alg, "1")
+    p2 = projective_module(alg, "2")
+    assert p1.dims == p2.dims and hom_dim(p2, p1) == 2
+    assert 257 ** 2 > SEARCH_CAP >= 258
+    assert not is_isomorphic(p2, p1)
+    members = _sorted_members(_nakayama_members(alg))
+    assert [m.dims for m in members] == [
+        (0, 1), (1, 0), (1, 1), (1, 1), (1, 2), (2, 1), (2, 2), (2, 2)]
+    assert _assign_names(alg, members) == [
+        "S2", "S1", "2|2", "1|2", "2|3", "1|3", "P2", "P1"]
 
 
 def test_large_prime_load_makes_few_iso_tests(monkeypatch):

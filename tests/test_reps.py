@@ -272,8 +272,10 @@ def test_span_closure_rejects_wrong_length(a2_algebra):
 
 @pytest.mark.parametrize("h,p", [(0, 3), (1, 2), (3, 2), (2, 5)])
 def test_coefficient_vectors_product_order(h, p):
-    assert list(coefficient_vectors(h, p)) == [
-        c for c in itertools.product(range(p), repeat=h) if any(c)]
+    everything = [c for c in itertools.product(range(p), repeat=h) if any(c)]
+    assert list(coefficient_vectors(h, p)) == everything
+    assert list(coefficient_vectors(h, p, leading_one=True)) == [
+        c for c in everything if next(x for x in c if x) == 1]
 
 
 @pytest.mark.parametrize("h,p,draws", [(2, 2, 200), (4, 257, 50),
@@ -348,11 +350,11 @@ def test_iso_search_samples_beyond_cap():
     s2 = simple_module(alg, "2")
     p2 = projective_module(alg, "2")
     twice, _, _ = direct_sum(alg, [s1, s1])
-    assert 257 ** hom_dim(twice, twice) > SEARCH_CAP
+    assert (257 ** hom_dim(twice, twice) - 1) // 256 > SEARCH_CAP
     found, witness = is_isomorphic(twice, twice, with_witness=True)
     assert found and witness.is_iso() and witness.is_natural()
     m, _, _ = direct_sum(alg, [s1, s1, s2])
     n, _, _ = direct_sum(alg, [s1, p2])
-    assert m.dims == n.dims and 257 ** hom_dim(m, n) > SEARCH_CAP
+    assert m.dims == n.dims and (257 ** hom_dim(m, n) - 1) // 256 > SEARCH_CAP
     with pytest.raises(UndecidableError):
         is_isomorphic(m, n)
