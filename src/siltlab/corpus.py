@@ -31,8 +31,8 @@ from .reps import (
     projective_module,
     quotient_representation,
     radical_of_spans,
+    relations_acting,
     simple_module,
-    validate,
 )
 
 
@@ -101,10 +101,12 @@ def is_indecomposable(m: Representation) -> bool:
                 continue
             return False
         return True
-    # fall back to Fitting decompositions along basis endomorphisms and
-    # seeded random combinations
-    candidates = basis + [combination(basis, coeffs)
-                          for coeffs in coefficient_vectors(e, p, draws=200)]
+    # fall back to Fitting decompositions along basis endomorphisms, then
+    # seeded random combinations, built one at a time up to the first split
+    candidates = itertools.chain(
+        basis,
+        (combination(basis, coeffs)
+         for coeffs in coefficient_vectors(e, p, draws=200)))
     for f in candidates:
         if _fitting_splits(f):
             return False
@@ -195,10 +197,34 @@ def _nakayama_members(algebra: Algebra) -> list[Representation]:
 # brute force
 
 
+# Rows of one block of matrix tuples: the low base-p digits of a block
+# run over every tuple of its last l entries, with p**l at most this.
+_BLOCK_ROWS = 1024
+
+
+def _digit_table(p: int, width: int) -> np.ndarray:
+    """Every tuple in range(p)**width as the rows of an int64 array, in
+    itertools.product order; p**width is at most _BLOCK_ROWS."""
+    place = p ** np.arange(width - 1, -1, -1, dtype=np.int64)
+    return np.arange(p ** width, dtype=np.int64)[:, None] // place % p
+
+
 def _all_representations(algebra: Algebra, dim_bound: int):
+    """Every representation up to total dimension dim_bound, in
+    itertools.product order of the arrow-matrix entries.
+
+    The tuples of one dimension vector are built in blocks: the high
+    digits come from itertools.product, and the last l entries run over a
+    digit table of p**l rows.  Every relation is evaluated on the whole
+    block at once, and only the rows where all of them act as zero become
+    Representations."""
     q = algebra.quiver
     p = algebra.p
     nv = algebra.n_vertices
+    low_max = 0
+    while p ** (low_max + 1) <= _BLOCK_ROWS:
+        low_max += 1
+    table = _digit_table(p, low_max)
     for total in range(1, dim_bound + 1):
         for dims in itertools.product(range(total + 1), repeat=nv):
             if sum(dims) != total:
@@ -208,18 +234,25 @@ def _all_representations(algebra: Algebra, dim_bound: int):
                 u = q.vertex_index(a.source)
                 w = q.vertex_index(a.target)
                 shapes.append((dims[w], dims[u]))
-            entry_counts = [r * c for r, c in shapes]
-            for flat in itertools.product(range(p),
-                                          repeat=sum(entry_counts)):
+            n = sum(r * c for r, c in shapes)
+            low = min(low_max, n)
+            # product order of the last `low` entries: the tail of the
+            # first p**low rows of the full table
+            low_rows = table[:p ** low, low_max - low:]
+            block = np.empty((len(low_rows), n), dtype=np.int64)
+            block[:, n - low:] = low_rows
+            for high in itertools.product(range(p), repeat=n - low):
+                block[:, :n - low] = high
                 maps = []
                 pos = 0
-                for (r, c), cnt in zip(shapes, entry_counts):
-                    maps.append(np.array(flat[pos:pos + cnt],
-                                         dtype=np.int64).reshape(r, c))
-                    pos += cnt
-                rep = Representation(algebra, dims, maps)
-                if not validate(rep):
-                    yield rep
+                for r, c in shapes:
+                    maps.append(
+                        block[:, pos:pos + r * c].reshape(len(block), r, c))
+                    pos += r * c
+                keep = ~relations_acting(algebra, maps).any(axis=0)
+                for i in np.flatnonzero(keep):
+                    yield Representation(algebra, dims,
+                                         [mat[i] for mat in maps])
 
 
 def _canonical_key(m: Representation) -> tuple:

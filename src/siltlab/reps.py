@@ -139,10 +139,6 @@ def zero_morphism(source: Representation, target: Representation) -> Morphism:
     return Morphism(source, target, maps)
 
 
-def identity_morphism(m: Representation) -> Morphism:
-    return Morphism(m, m, [linalg.identity(d) for d in m.dims])
-
-
 # ---------------------------------------------------------------------------
 # validation
 
@@ -163,17 +159,40 @@ def validate(m: Representation) -> list[str]:
             )
     if problems:
         return problems
-    for rel in alg.relations.relations:
-        acc = None
-        for coeff, path in rel:
-            term = (coeff * m.path_action(path)) % alg.p
-            acc = term if acc is None else (acc + term) % alg.p
-        if acc is not None and acc.any():
+    acting = relations_acting(alg, [mat[np.newaxis] for mat in m.arrow_maps])
+    for rel, hit in zip(alg.relations.relations, acting[:, 0]):
+        if hit:
             labels = " + ".join(
                 f"{c}*{path.label(q)}" for c, path in rel
             )
             problems.append(f"relation {labels} acts nontrivially")
     return problems
+
+
+def relations_acting(algebra: Algebra, arrow_maps) -> np.ndarray:
+    """Which relations act nontrivially on a batch of representations.
+
+    ``arrow_maps`` holds one stacked array per arrow, of shape
+    (batch, rows, cols) with entries in [0, p), for a batch that shares
+    one dimension vector.  The result has one row per relation and one
+    column per batch entry, True where the relation's signed path sum is
+    a nonzero matrix mod p.
+    """
+    p = algebra.p
+    batch = arrow_maps[0].shape[0] if arrow_maps else 1
+    acting = np.zeros((len(algebra.relations.relations), batch), dtype=bool)
+    for ri, rel in enumerate(algebra.relations.relations):
+        # relation paths have length >= 2 (Algebra checks it); each term
+        # is below p**2, so a relation's sum is exact in int64
+        acc = 0
+        for coeff, path in rel:
+            mat = arrow_maps[path.arrows[0]]
+            for ai in path.arrows[1:]:
+                mat = np.matmul(arrow_maps[ai], mat)
+                mat %= p
+            acc = acc + (coeff % p) * mat
+        acting[ri] = (np.reshape(acc, (batch, -1)) % p).any(axis=1)
+    return acting
 
 
 # ---------------------------------------------------------------------------
@@ -255,16 +274,6 @@ def regular_module(algebra: Algebra) -> Representation:
     summed, _, _ = direct_sum(algebra, reps)
     summed.name = "R"
     return summed
-
-
-def standard_module(algebra: Algebra, v: str, kind: str) -> Representation:
-    if kind == "simple":
-        return simple_module(algebra, v)
-    if kind == "projective":
-        return projective_module(algebra, v)
-    if kind == "injective":
-        return injective_module(algebra, v)
-    raise MalformedInputError(f"unknown standard module kind {kind!r}")
 
 
 def hom_from_projective(algebra: Algebra, v: str, pv: Representation,
@@ -705,7 +714,6 @@ __all__ = [
     "hom_dim",
     "hom_from_projective",
     "hom_space",
-    "identity_morphism",
     "injective_module",
     "is_isomorphic",
     "jordan_holder_factors",
@@ -714,11 +722,11 @@ __all__ = [
     "radical_of_spans",
     "radical_spans",
     "regular_module",
+    "relations_acting",
     "simple_module",
     "socle_multiplicities",
     "socle_spans",
     "span_closure",
-    "standard_module",
     "sub_quotient",
     "sub_representation",
     "top_multiplicities",

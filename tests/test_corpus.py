@@ -1,8 +1,11 @@
+import itertools
+
 import pytest
 
-from siltlab import zoo
-from siltlab.algfile import parse_algebra_file
+from siltlab import corpus, zoo
+from siltlab.algfile import load_algebra_file, parse_algebra_file
 from siltlab.corpus import (
+    _all_representations,
     _assign_names,
     _nakayama_members,
     _sorted_members,
@@ -15,8 +18,11 @@ from siltlab.reps import (
     SEARCH_CAP,
     Morphism,
     UndecidableError,
+    coefficient_vectors,
+    combination,
     direct_sum,
     hom_dim,
+    hom_space,
     injective_module,
     is_isomorphic,
     projective_module,
@@ -68,13 +74,22 @@ def test_indecomposability(a2_algebra):
     assert not is_indecomposable(summed)
 
 
-def test_fitting_fallback_finds_split(a2_algebra):
+def test_fitting_fallback_finds_split(a2_algebra, monkeypatch):
     """End(S1^5) has dimension 25, past the exhaustive cap over F2; the
-    Fitting fallback splits it along a basis endomorphism."""
+    Fitting fallback splits it along a basis endomorphism, before it
+    builds any random combination of the basis."""
+    calls = []
+
+    def counted(basis, coeffs):
+        calls.append(coeffs)
+        return combination(basis, coeffs)
+
+    monkeypatch.setattr(corpus, "combination", counted)
     s1 = simple_module(a2_algebra, "1")
     m, _, _ = direct_sum(a2_algebra, [s1], [5])
     assert 2 ** hom_dim(m, m) > SEARCH_CAP
     assert not is_indecomposable(m)
+    assert calls == []
 
 
 LOCAL_LOOP_F257 = """field 257
@@ -86,15 +101,130 @@ nilpotency 3
 """
 
 
-def test_fitting_fallback_raises_without_split():
+def test_fitting_fallback_raises_without_split(monkeypatch):
     """P1 = k[x]/(x^3) over F257 is local with a 3-dimensional End: past
     the cap, and no Fitting decomposition splits it, so the search
     refuses."""
     alg = parse_algebra_file(LOCAL_LOOP_F257).build()
     p1 = projective_module(alg, "1")
     assert 257 ** hom_dim(p1, p1) > SEARCH_CAP
+    tested = []
+    splits = corpus._fitting_splits
+
+    def recorded(f):
+        tested.append(tuple(m.tobytes() for m in f.vertex_maps))
+        return splits(f)
+
+    monkeypatch.setattr(corpus, "_fitting_splits", recorded)
     with pytest.raises(UndecidableError):
         is_indecomposable(p1)
+    # every basis map, then every seeded draw, in that order
+    basis = hom_space(p1, p1)
+    expected = basis + [combination(basis, c)
+                        for c in coefficient_vectors(len(basis), 257,
+                                                     draws=200)]
+    assert tested == [tuple(m.tobytes() for m in f.vertex_maps)
+                      for f in expected]
+
+
+def _reference_representations(algebra, dim_bound):
+    """(dims, arrow matrices as lists of lists) of every representation up
+    to dim_bound, in itertools.product order of all matrix entries, kept
+    when each signed relation sums to zero under Python-int products."""
+    q = algebra.quiver
+    p = algebra.p
+
+    def mul(a, b, rows, inner, cols):
+        return [[sum(a[i][k] * b[k][j] for k in range(inner)) % p
+                 for j in range(cols)] for i in range(rows)]
+
+    def acts_as_zero(rel, dims, maps):
+        total = None
+        for coeff, path in rel:
+            start = q.vertex_index(path.start)
+            d = dims[start]
+            mat = [[int(i == j) for j in range(d)] for i in range(d)]
+            at = start
+            for ai in path.arrows:
+                nxt = q.vertex_index(q.arrows[ai].target)
+                mat = mul(maps[ai], mat, dims[nxt], dims[at], d)
+                at = nxt
+            term = [coeff * x for row in mat for x in row]
+            total = term if total is None else [
+                x + y for x, y in zip(total, term)]
+        return all(x % p == 0 for x in total)
+
+    out = []
+    for total_dim in range(1, dim_bound + 1):
+        for dims in itertools.product(range(total_dim + 1),
+                                      repeat=len(q.vertices)):
+            if sum(dims) != total_dim:
+                continue
+            shapes = [(dims[q.vertex_index(a.target)],
+                       dims[q.vertex_index(a.source)]) for a in q.arrows]
+            n = sum(r * c for r, c in shapes)
+            for flat in itertools.product(range(p), repeat=n):
+                maps = []
+                pos = 0
+                for r, c in shapes:
+                    maps.append([list(flat[pos + i * c:pos + (i + 1) * c])
+                                 for i in range(r)])
+                    pos += r * c
+                if all(acts_as_zero(rel, dims, maps)
+                       for rel in algebra.relations.relations):
+                    out.append((dims, maps))
+    return out
+
+
+SIGNED_SQUARE_F5 = """field 5
+vertices 1 2 3
+arrow a: 2 -> 1
+arrow b: 3 -> 2
+arrow c: 2 -> 1
+arrow d: 3 -> 2
+relation a*b - c*d
+"""
+
+CYCLE2_LENGTH3_F2 = """field 2
+vertices 1 2
+arrow a: 1 -> 2
+arrow b: 2 -> 1
+relation a*b*a
+relation b*a*b
+nilpotency 3
+"""
+
+_SHIPPED = ["a2", "a3", "a4", "nakayama_a3", "nakayama_cycle2"]
+_BUILT = {
+    "cyclic_nakayama_2_f3": lambda: zoo.cyclic_nakayama_2(3),
+    "cycle2_length3_f2": lambda: parse_algebra_file(CYCLE2_LENGTH3_F2),
+    "signed_square_f5": lambda: parse_algebra_file(SIGNED_SQUARE_F5),
+    "a2_f65521": lambda: zoo.a2(65521),
+}
+
+
+# The shipped algebras over F2 fill at most one block per dimension
+# vector.  The 2-cycle over F3 at dimension 4 has 3^8 tuples for dims
+# (2, 2): nine blocks of 3^6 rows.  The length-3 relations of the other
+# 2-cycle test the arrow order along a path.  The signed square over F5
+# needs dimension 3 before its relation has a path to act through.  Over
+# F65521 every block is one row of high digits.
+@pytest.mark.parametrize("name, dim_bound", [
+    *[(name, 4) for name in _SHIPPED],
+    ("cyclic_nakayama_2_f3", 4),
+    ("cycle2_length3_f2", 4),
+    ("signed_square_f5", 3),
+    ("a2_f65521", 2),
+])
+def test_enumerator_matches_python_int_reference(alg_dir, name, dim_bound):
+    if name in _SHIPPED:
+        parsed = load_algebra_file(alg_dir / f"{name}.alg")
+    else:
+        parsed = _BUILT[name]()
+    alg = parsed.build()
+    got = [(rep.dims, [mat.tolist() for mat in rep.arrow_maps])
+           for rep in _all_representations(alg, dim_bound)]
+    assert got == _reference_representations(alg, dim_bound)
 
 
 CYCLE2_LENGTH4_F257 = """field 257

@@ -244,20 +244,41 @@ def test_verify_report_golden_hash(request, fixture):
 # pinned like the report hashes above: the brute corpus runs the
 # indecomposability and isomorphism searches on every representation.
 GOLDEN_BRUTE_SHA256 = {
+    "a2": "4d8c1d833ceec49b9bcd9f876d58d584c62c1bf7549899406cefce5664b184cb",
     "a3": "7a00f13330325644eb335fabea27bbd52066100aecf243d5edda2cc9c1dd06d0",
+    "a4": "cb0b3761be7f57af32da8f89d4fd7bd882645d73bdf9e4ef1f16db4a18cb9d51",
+    "nakayama_a3":
+        "bf1e88c9969ed335144327c3759fe3a0cb41d461101a088cc3e9500d6ab3b351",
     "nakayama_cycle2":
         "29f9d06995e8785275910a2d20049baca34e959c4cf5887a92adffde10b1c53a",
 }
 
+# The same at SILTLAB_MAX_DIM=5, where the relations of the 2-cycle keep
+# 539 of its roughly 9,000 matrix tuples.
+GOLDEN_BRUTE_DIM5_SHA256 = {
+    "nakayama_cycle2":
+        "4187b70896a9dd42ce4acb0fd6f3b5be6808256259f938adc77e246f5b5834d0",
+}
 
-@pytest.mark.parametrize("name", sorted(GOLDEN_BRUTE_SHA256))
-def test_brute_corpus_golden_hash(capsys, alg_dir, monkeypatch, name):
-    monkeypatch.setenv("SILTLAB_MAX_DIM", "4")
+
+def _brute_digest(capsys, alg_dir, monkeypatch, name, dim):
+    monkeypatch.setenv("SILTLAB_MAX_DIM", str(dim))
     code, out, _ = run_cli(capsys, "indec", "list",
                            str(alg_dir / f"{name}.alg"), "--strategy", "brute")
     assert code == 0
-    digest = hashlib.sha256(out.encode()).hexdigest()
+    return hashlib.sha256(out.encode()).hexdigest()
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_BRUTE_SHA256))
+def test_brute_corpus_golden_hash(capsys, alg_dir, monkeypatch, name):
+    digest = _brute_digest(capsys, alg_dir, monkeypatch, name, 4)
     assert digest == GOLDEN_BRUTE_SHA256[name]
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_BRUTE_DIM5_SHA256))
+def test_brute_corpus_golden_hash_dim5(capsys, alg_dir, monkeypatch, name):
+    digest = _brute_digest(capsys, alg_dir, monkeypatch, name, 5)
+    assert digest == GOLDEN_BRUTE_DIM5_SHA256[name]
 
 
 def test_default_strategy(a2_parsed, nak3_parsed):
