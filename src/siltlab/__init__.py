@@ -50,7 +50,6 @@ from .pathalg import (
     Path,
     Quiver,
     RelationSet,
-    build_algebra,
 )
 from .predicates import (
     PREDICATES,

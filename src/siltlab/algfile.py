@@ -32,7 +32,6 @@ from .pathalg import (
     Quiver,
     Relation,
     RelationSet,
-    build_algebra,
     hereditary_bound,
 )
 
@@ -58,7 +57,7 @@ class ParsedAlgebra:
     relation_texts: tuple[str, ...] = ()
 
     def build(self) -> Algebra:
-        return build_algebra(self.quiver, self.relations, self.p)
+        return Algebra(self.quiver, self.relations, self.p)
 
 
 def _check_name(line_no: int, token: str, kind: str) -> str:

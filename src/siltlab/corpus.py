@@ -46,9 +46,6 @@ class Corpus:
     def __len__(self):
         return len(self.members)
 
-    def name_of(self, i: int) -> str:
-        return self.names[i]
-
     def index_of(self, name: str) -> int:
         try:
             return self.names.index(name)

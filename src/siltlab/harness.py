@@ -177,7 +177,7 @@ def reproduce_example(p: int = 2) -> dict:
     algebra = wb.algebra
     t_idx = wb.names.index("P2")
     cand = (t_idx,)
-    t = wb.rep(cand)
+    t = wb.members[t_idx]
     p1 = projective_module(algebra, "1")
     ev = evaluate_candidate(wb, cand)
     witness = perp_contains(t, p1, {0, 1})

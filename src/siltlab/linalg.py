@@ -89,8 +89,7 @@ def _eliminate(rows: list[list[int]], p: int, limit: int) -> list[int]:
 
     Pivots are sought only in columns [0, limit): the leftmost column with
     a nonzero entry at or below the current row, and the first such row.
-    Only rows nonzero in the pivot column are updated.  Rows are replaced,
-    never mutated, so a caller may keep the input row lists.
+    Only rows nonzero in the pivot column are updated.
     """
     m = len(rows)
     pivots: list[int] = []
@@ -136,27 +135,14 @@ def _kernel_basis(rows, pivots, n: int, p: int) -> np.ndarray:
     return _array(basis, n, len(free))
 
 
-def _augment_identity(rows, p: int) -> tuple[list[int], list[list[int]]]:
-    """Eliminate [A | I] pivoting in A only; returns the pivots and the
-    right block, which maps A to its rref."""
-    m = len(rows)
-    n = len(rows[0]) if rows else 0
-    aug = [row + [int(i == j) for j in range(m)] for i, row in enumerate(rows)]
-    pivots = _eliminate(aug, p, n)
-    return pivots, [row[n:] for row in aug]
-
-
 class EchelonData:
     """Reduced row-echelon data of a matrix A over F_p.
 
-    transform @ A == rref (mod p).  kernel_basis has one column per free
-    column of A; image_basis repeats the pivot columns of A itself, so its
-    columns are independent and span the column space.  Everything past
+    kernel_basis has one column per free column of A.  Everything past
     rank and pivot_columns is built on first read.
     """
 
-    def __init__(self, source, reduced, n: int, pivots, p: int):
-        self._source = source  # rows of A, reduced mod p
+    def __init__(self, reduced, n: int, pivots, p: int):
         self._reduced = reduced  # rows of rref
         self._n = n
         self.rank = len(pivots)
@@ -168,20 +154,9 @@ class EchelonData:
         return _array(self._reduced, len(self._reduced), self._n)
 
     @cached_property
-    def transform(self) -> np.ndarray:
-        m = len(self._source)
-        return _array(_augment_identity(self._source, self.modulus)[1], m, m)
-
-    @cached_property
     def kernel_basis(self) -> np.ndarray:  # cols x (cols - rank)
         return _kernel_basis(self._reduced, self.pivot_columns, self._n,
                              self.modulus)
-
-    @cached_property
-    def image_basis(self) -> np.ndarray:  # rows x rank
-        cols = self.pivot_columns
-        return _array([[row[c] for c in cols] for row in self._source],
-                      len(self._source), self.rank)
 
 
 def row_reduce(a, p: int) -> EchelonData:
@@ -192,9 +167,8 @@ def row_reduce(a, p: int) -> EchelonData:
     """
     check_prime(p)
     rows, n = _int_rows(a, p)
-    source = rows[:]
     pivots = _eliminate(rows, p, n)
-    return EchelonData(source, rows, n, pivots, p)
+    return EchelonData(rows, n, pivots, p)
 
 
 def rank(a, p: int) -> int:
@@ -238,11 +212,6 @@ def solve(a, b, p: int) -> Solution | None:
     for i, c in enumerate(pivots):
         x[c] = rows[i][n:]
     return Solution(_array(x, n, k), _kernel_basis(rows, pivots, n, p), p)
-
-
-def in_column_space(a: np.ndarray, b: np.ndarray, p: int) -> bool:
-    """Is every column of b a combination of columns of a?"""
-    return solve(a, b, p) is not None
 
 
 def column_space_basis(a: np.ndarray, p: int) -> np.ndarray:
@@ -298,7 +267,8 @@ def invert(a: np.ndarray, p: int) -> np.ndarray:
     n, m = a.shape
     if n != m:
         raise MalformedInputError("only square matrices are invertible")
-    pivots, inverse = _augment_identity((a % p).tolist(), p)
-    if len(pivots) != n:
+    aug = [row + [int(i == j) for j in range(n)]
+           for i, row in enumerate((a % p).tolist())]
+    if len(_eliminate(aug, p, n)) != n:
         raise MalformedInputError("matrix is singular")
-    return _array(inverse, n, n)
+    return _array([row[n:] for row in aug], n, n)

@@ -55,14 +55,6 @@ def trace_spans(t: Representation, m: Representation) -> list[np.ndarray]:
     return [linalg.column_space_basis(s, alg.p) for s in spans]
 
 
-def trace_and_gen(t: Representation, m: Representation):
-    """(trace submodule with inclusion, gen membership flag)."""
-    spans = trace_spans(t, m)
-    sub, incl = sub_representation(m, spans)
-    gen_member = sub.dims == m.dims
-    return (sub, incl), gen_member
-
-
 def gen_contains(t: Representation, m: Representation) -> bool:
     spans = trace_spans(t, m)
     return all(s.shape[1] == d for s, d in zip(spans, m.dims))
@@ -338,6 +330,5 @@ __all__ = [
     "pres_contains",
     "subfac_facsub",
     "torsion_decompose",
-    "trace_and_gen",
     "trace_spans",
 ]

@@ -336,9 +336,6 @@ class Algebra:
         m = self.relations.nilpotency_bound
         return [self.radical_power(k) for k in range(m + 1)]
 
-    def trivial_path_index(self, v: str) -> int:
-        return self.basis_index[Path(v, ())]
-
     def paths_from(self, v: str) -> list[tuple[int, Path]]:
         """Basis classes of paths with source v, in basis order."""
         return [(i, path) for i, path in enumerate(self.basis)
@@ -362,10 +359,6 @@ class Algebra:
         }
 
 
-def build_algebra(quiver: Quiver, relations: RelationSet, p: int) -> Algebra:
-    return Algebra(quiver, relations, p)
-
-
 def hereditary_bound(quiver: Quiver) -> int:
     """Nilpotency bound for a relation-free acyclic quiver."""
     return quiver.longest_path_length() + 1
@@ -380,6 +373,5 @@ __all__ = [
     "Quiver",
     "Relation",
     "RelationSet",
-    "build_algebra",
     "hereditary_bound",
 ]

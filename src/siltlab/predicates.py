@@ -15,14 +15,12 @@ reads them instead of building the direct sum: sincerity and cosincerity
 test Hom(P_v, T_i) and Hom(T_i, I_v) per summand, the Subfac/Facsub routes
 read one summand's table, the T123 coevaluation maps R into the sum of
 the T_i^(d_i), and ``gen_eq_pres`` hands ``pres_contains`` the list of
-summands.  Only the worked example builds the whole candidate, with
-``Workbench.rep``.
+summands.
 """
 
 from __future__ import annotations
 
 import itertools
-import time
 from dataclasses import dataclass
 
 import numpy as np
@@ -45,7 +43,6 @@ from .modclasses import (
 )
 from .reps import (
     Morphism,
-    Representation,
     direct_sum,
     factorize,
     hom_space,
@@ -53,7 +50,6 @@ from .reps import (
     projective_module,
     regular_module,
     simple_module,
-    zero_representation,
 )
 
 Candidate = tuple[int, ...]
@@ -78,10 +74,8 @@ class PredicateReport:
     verdict: bool
     route: str
     witness: dict | None
-    cost: float
 
     def row(self) -> dict:
-        # cost is intentionally excluded: reports must be byte-reproducible
         return {
             "module": self.module_id,
             "predicate": self.predicate,
@@ -104,7 +98,6 @@ class Workbench:
             if resolution_bound is not None
             else default_resolution_bound(self.algebra)
         )
-        self._rep_cache: dict[Candidate, Representation] = {}
         self._hom: dict[tuple[int, int], int] = {}
         self._ext: dict[tuple[int, int, int], int] = {}
         self._pd: dict[int, int | None] = {}
@@ -132,18 +125,6 @@ class Workbench:
         if not candidate:
             return "0"
         return "+".join(self.names[i] for i in candidate)
-
-    def rep(self, candidate: Candidate) -> Representation:
-        cached = self._rep_cache.get(candidate)
-        if cached is None:
-            if candidate:
-                cached, _, _ = direct_sum(
-                    self.algebra, [self.members[i] for i in candidate])
-            else:
-                cached = zero_representation(self.algebra)
-            cached.name = self.candidate_name(candidate)
-            self._rep_cache[candidate] = cached
-        return cached
 
     # -- pair tables ---------------------------------------------------
 
@@ -248,14 +229,13 @@ class Workbench:
         return True
 
 
-def _report(wb, candidate, predicate, verdict, route, witness, start):
+def _report(wb, candidate, predicate, verdict, route, witness):
     return PredicateReport(
         module_id=wb.candidate_name(candidate),
         predicate=predicate,
         verdict=verdict,
         route=route,
         witness=witness,
-        cost=time.perf_counter() - start,
     )
 
 
@@ -270,7 +250,6 @@ def _require_agreement(wb, candidate, predicate, verdicts: dict):
 
 
 def is_sincere(wb: Workbench, candidate: Candidate) -> PredicateReport:
-    start = time.perf_counter()
     summands = [wb.members[i] for i in candidate]
     missing = None
     route_hom = True
@@ -294,11 +273,10 @@ def is_sincere(wb: Workbench, candidate: Candidate) -> PredicateReport:
                    "left_perp0_members": [wb.names[i] for i in perp]}
     return _report(wb, candidate, "sincere", route_hom,
                    "hom_from_projectives|composition_factors|left_perp0",
-                   witness, start)
+                   witness)
 
 
 def is_cosincere(wb: Workbench, candidate: Candidate) -> PredicateReport:
-    start = time.perf_counter()
     summands = [wb.members[i] for i in candidate]
     missing = None
     verdict = True
@@ -309,7 +287,7 @@ def is_cosincere(wb: Workbench, candidate: Candidate) -> PredicateReport:
             break
     witness = None if verdict else {"injective_without_maps": f"I{missing}"}
     return _report(wb, candidate, "cosincere", verdict,
-                   "hom_into_injectives", witness, start)
+                   "hom_into_injectives", witness)
 
 
 def satisfies_subfac(wb: Workbench, candidate: Candidate) -> PredicateReport:
@@ -325,7 +303,6 @@ def _subfac_or_facsub(wb, candidate, which):
     sum) lies in the first summand with v in its support; its cyclic
     submodule, that submodule's radical and the quotient by J.<x> stay
     inside that summand, so its table entry is the candidate's verdict."""
-    start = time.perf_counter()
     verdict = True
     witness = None
     for vi, v in enumerate(wb.algebra.vertices):
@@ -346,7 +323,7 @@ def _subfac_or_facsub(wb, candidate, which):
             witness = {"missing_simple": f"S{v}"}
             break
     return _report(wb, candidate, which, verdict,
-                   "direct_search|composition_factor", witness, start)
+                   "direct_search|composition_factor", witness)
 
 
 # ---------------------------------------------------------------------------
@@ -354,7 +331,6 @@ def _subfac_or_facsub(wb, candidate, which):
 
 
 def is_presilting(wb: Workbench, candidate: Candidate) -> PredicateReport:
-    start = time.perf_counter()
     gen = wb.gen_set(candidate)
     ext_bad = None
     for j in gen:
@@ -376,11 +352,10 @@ def is_presilting(wb: Workbench, candidate: Candidate) -> PredicateReport:
     if not route_ext:
         witness = {"gen_member_with_ext1": wb.names[ext_bad]}
     return _report(wb, candidate, "presilting", route_ext,
-                   "gen_in_perp1|gen_in_presentation_class", witness, start)
+                   "gen_in_perp1|gen_in_presentation_class", witness)
 
 
 def is_silting(wb: Workbench, candidate: Candidate) -> PredicateReport:
-    start = time.perf_counter()
     if wb.corpus.completeness.startswith("brute-force"):
         bound_note = wb.corpus.completeness
     else:
@@ -397,11 +372,10 @@ def is_silting(wb: Workbench, candidate: Candidate) -> PredicateReport:
     if bound_note:
         witness = (witness or {}) | {"corpus": bound_note}
     return _report(wb, candidate, "silting", verdict,
-                   "gen_equals_presentation_class", witness, start)
+                   "gen_equals_presentation_class", witness)
 
 
 def is_pretilting(wb: Workbench, candidate: Candidate) -> PredicateReport:
-    start = time.perf_counter()
     pd = wb.candidate_pd(candidate)
     if pd is None:
         raise BoundExceededError(
@@ -414,11 +388,10 @@ def is_pretilting(wb: Workbench, candidate: Candidate) -> PredicateReport:
     verdict = pd <= 1 and self_ext == 0
     witness = {"pd": pd, "ext1_self": self_ext} if not verdict else None
     return _report(wb, candidate, "pretilting", verdict,
-                   "pd_and_self_ext1", witness, start)
+                   "pd_and_self_ext1", witness)
 
 
 def vanishing_t3prime(wb: Workbench, candidate: Candidate) -> PredicateReport:
-    start = time.perf_counter()
     witness_idx = None
     for j in range(len(wb.members)):
         if (wb.hom_from_candidate(candidate, j) == 0
@@ -429,7 +402,7 @@ def vanishing_t3prime(wb: Workbench, candidate: Candidate) -> PredicateReport:
     witness = (None if verdict
                else {"nonzero_member_in_perp01": wb.names[witness_idx]})
     return _report(wb, candidate, "vanishing", verdict,
-                   "corpus_scan_perp01", witness, start)
+                   "corpus_scan_perp01", witness)
 
 
 def _coevaluation(wb: Workbench, candidate: Candidate):
@@ -458,7 +431,6 @@ def _coevaluation(wb: Workbench, candidate: Candidate):
 def is_tilting(wb: Workbench, candidate: Candidate,
                routes: tuple[str, ...] = ("definition", "T123", "vanishing"),
                ) -> PredicateReport:
-    start = time.perf_counter()
     verdicts: dict[str, bool] = {}
     witness: dict = {}
     if "definition" in routes:
@@ -499,12 +471,11 @@ def is_tilting(wb: Workbench, candidate: Candidate,
     _require_agreement(wb, candidate, "tilting", verdicts)
     verdict = next(iter(verdicts.values()))
     return _report(wb, candidate, "tilting", verdict,
-                   "|".join(routes), witness or None, start)
+                   "|".join(routes), witness or None)
 
 
 def is_self_orthogonal(wb: Workbench, candidate: Candidate,
                        pd_bound: int | None = None) -> PredicateReport:
-    start = time.perf_counter()
     pd = wb.candidate_pd(candidate)
     if pd is None:
         if pd_bound is None:
@@ -533,7 +504,7 @@ def is_self_orthogonal(wb: Workbench, candidate: Candidate,
         if not verdict:
             break
     return _report(wb, candidate, "self_orthogonal", verdict,
-                   f"ext_self_up_to_pd_{pd}", witness, start)
+                   f"ext_self_up_to_pd_{pd}", witness)
 
 
 PREDICATES = {

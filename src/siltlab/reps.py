@@ -9,7 +9,6 @@ Hom spaces and isomorphism testing all reduce to exact linear algebra.
 from __future__ import annotations
 
 import itertools
-import weakref
 
 import numpy as np
 
@@ -309,12 +308,12 @@ def hom_space(m: Representation, n: Representation) -> list[Morphism]:
     """Deterministic basis of Hom(M, N)."""
     if m.algebra is not n.algebra:
         raise AlgebraMismatchError("hom_space across different algebras")
-    # The entry keeps a weak reference to n: once n is freed another module
-    # may reuse its id, and the dead reference then forces a fresh solve.
-    key = ("hom", id(n))
+    # Keyed by n itself, so the entry keeps n alive (its morphisms hold n
+    # as target anyway) and no later module can reuse n's id.
+    key = ("hom", n)
     cached = m._cache.get(key)
-    if cached is not None and cached[0]() is n:
-        return cached[1]
+    if cached is not None:
+        return cached
     alg = m.algebra
     p = alg.p
     q = alg.quiver
@@ -349,7 +348,7 @@ def hom_space(m: Representation, n: Representation) -> list[Morphism]:
         maps = [vec[offsets[i]:offsets[i + 1]].reshape(n.dims[i], m.dims[i])
                 for i in range(nv)]
         result.append(Morphism(m, n, maps))
-    m._cache[key] = (weakref.ref(n), result)
+    m._cache[key] = result
     return result
 
 
@@ -450,16 +449,6 @@ def span_closure(m: Representation, vectors: list[np.ndarray]):
         if all(g.shape[1] == s.shape[1] for g, s in zip(grown, spans)):
             return grown
         spans = grown
-
-
-def sub_quotient(m: Representation, generators: list[np.ndarray], mode: str):
-    """Submodule generated by vectors (with inclusion) or its quotient."""
-    spans = span_closure(m, generators)
-    if mode == "submodule":
-        return sub_representation(m, spans)
-    if mode == "quotient":
-        return quotient_representation(m, spans)
-    raise MalformedInputError(f"unknown mode {mode!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -584,37 +573,11 @@ def socle_spans(m: Representation) -> list[np.ndarray]:
     return spans
 
 
-def top_multiplicities(m: Representation) -> list[int]:
-    """Multiplicity of S(v) in top M, by vertex index."""
-    rad_sp = radical_spans(m)
-    return [m.dims[i] - rad_sp[i].shape[1] for i in range(len(m.dims))]
-
-
-def socle_multiplicities(m: Representation) -> list[int]:
-    sp = socle_spans(m)
-    return [s.shape[1] for s in sp]
-
-
 def composition_factors(m: Representation) -> dict[str, int]:
     """Multiset of simple factors; for basic algebras this is the
     dimension vector."""
     return {v: m.dims[i] for i, v in enumerate(m.algebra.vertices)
             if m.dims[i] > 0}
-
-
-def jordan_holder_factors(m: Representation) -> dict[str, int]:
-    """Slow cross-check oracle: peel socles until nothing is left."""
-    alg = m.algebra
-    out: dict[str, int] = {}
-    current = m
-    while not current.is_zero():
-        sp = socle_spans(current)
-        for i, v in enumerate(alg.vertices):
-            mult = linalg.rank(sp[i], alg.p)
-            if mult:
-                out[v] = out.get(v, 0) + mult
-        current, _ = quotient_representation(current, sp)
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -716,7 +679,6 @@ __all__ = [
     "hom_space",
     "injective_module",
     "is_isomorphic",
-    "jordan_holder_factors",
     "projective_module",
     "quotient_representation",
     "radical_of_spans",
@@ -724,12 +686,9 @@ __all__ = [
     "regular_module",
     "relations_acting",
     "simple_module",
-    "socle_multiplicities",
     "socle_spans",
     "span_closure",
-    "sub_quotient",
     "sub_representation",
-    "top_multiplicities",
     "validate",
     "zero_morphism",
     "zero_representation",

@@ -4,8 +4,16 @@ import pytest
 
 from siltlab import zoo
 from siltlab.harness import load_workbench
+from siltlab.reps import direct_sum
 
 ALG_DIR = pathlib.Path(__file__).resolve().parent.parent / "algebras"
+
+
+def whole_sum(wb, candidate):
+    """The direct sum of a candidate's summands, which the Workbench never
+    builds: the reference that its summand-wise tables are tested against."""
+    total, _, _ = direct_sum(wb.algebra, [wb.members[i] for i in candidate])
+    return total
 
 
 @pytest.fixture(scope="session")

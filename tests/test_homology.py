@@ -21,6 +21,7 @@ from siltlab.reps import (
     projective_module,
     radical_spans,
     simple_module,
+    socle_spans,
 )
 
 
@@ -39,8 +40,8 @@ def test_cover_minimality_kernel_in_radical(a3_wb, nak3_wb, cyc2_wb):
             incl = parts["kernel_inclusion"]
             rad = radical_spans(cover.source)
             for i in range(wb.algebra.n_vertices):
-                assert linalg.in_column_space(
-                    rad[i], incl.vertex_maps[i], wb.algebra.p)
+                assert linalg.solve(
+                    rad[i], incl.vertex_maps[i], wb.algebra.p) is not None
 
 
 def test_pd_examples(a2_algebra, a3_algebra, nak3_algebra):
@@ -156,9 +157,8 @@ def test_injective_envelope_essential(a3_wb, nak3_wb):
             env = injective_envelope(m)
             assert env.is_mono()
             # the socle multiplicities of M and its envelope agree
-            from siltlab.reps import socle_multiplicities
-            assert socle_multiplicities(m) == \
-                socle_multiplicities(env.target)
+            assert ([s.shape[1] for s in socle_spans(m)]
+                    == [s.shape[1] for s in socle_spans(env.target)])
 
 
 def test_resolution_exactness(nak3_wb):

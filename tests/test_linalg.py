@@ -114,8 +114,6 @@ def test_empty_shapes(shape):
     ech = linalg.row_reduce(a, 3)
     assert (ech.rank, ech.pivot_columns) == (0, ())
     assert ech.rref.shape == (m, n)
-    assert np.array_equal(ech.transform, np.eye(m, dtype=np.int64))
-    assert ech.image_basis.shape == (m, 0)
     assert np.array_equal(linalg.kernel(a, 3), np.eye(n, dtype=np.int64))
     assert linalg.column_space_basis(a, 3).shape == (m, 0)
     sol = linalg.solve(a, linalg.zeros(m, 2), 3)
@@ -183,16 +181,11 @@ def test_rank_nullity_randomized(p):
         a = random_matrix(rng, p)
         ech = linalg.row_reduce(a, p)
         assert ech.rank + ech.kernel_basis.shape[1] == a.shape[1]
-        # transform certificate
-        assert np.array_equal((ech.transform @ a) % p, ech.rref)
         # kernel columns actually lie in the kernel and are independent
         if ech.kernel_basis.shape[1]:
             assert not ((a @ ech.kernel_basis) % p).any()
             assert linalg.rank(ech.kernel_basis, p) == \
                 ech.kernel_basis.shape[1]
-        # image basis columns are independent and span the column space
-        assert linalg.rank(ech.image_basis, p) == ech.rank
-        assert linalg.in_column_space(ech.image_basis, a, p)
 
 
 @given(

@@ -3,6 +3,7 @@ import math
 
 import numpy as np
 import pytest
+from conftest import whole_sum
 
 from siltlab import linalg, modclasses, zoo
 from siltlab.harness import load_workbench
@@ -15,7 +16,6 @@ from siltlab.modclasses import (
     pres_contains,
     subfac_facsub,
     torsion_decompose,
-    trace_and_gen,
     trace_spans,
 )
 from siltlab.reps import (
@@ -28,6 +28,7 @@ from siltlab.reps import (
     projective_module,
     regular_module,
     simple_module,
+    sub_representation,
 )
 
 
@@ -152,8 +153,8 @@ def test_trace_and_gen_consistency(a3_wb):
     wb = a3_wb
     for t in wb.members:
         for m in wb.members:
-            (sub, incl), flag = trace_and_gen(t, m)
-            assert flag == gen_contains(t, m)
+            sub, incl = sub_representation(m, trace_spans(t, m))
+            assert (sub.dims == m.dims) == gen_contains(t, m)
             assert incl.is_mono()
 
 
@@ -238,7 +239,7 @@ def a3_f257_wb():
 def test_pres_contains_matches_whole_sum(request, fixture, max_summands):
     wb = request.getfixturevalue(fixture)
     for c in wb.all_candidates(max_summands):
-        t = wb.rep(c)
+        t = whole_sum(wb, c)
         summands = [wb.members[i] for i in c]
         for j in wb.gen_set(c):
             m = wb.members[j]
@@ -259,7 +260,7 @@ def test_pres_contains_fallback_route(request, fixture, names):
     m = wb.members[wb.corpus.index_of("I2")]
     expected = (True, {"route": "fallback", "copies": 1})
     assert _outcome(pres_contains, [wb.members[i] for i in c], m) == expected
-    assert _outcome(_whole_sum_pres_contains, wb.rep(c), m) == expected
+    assert _outcome(_whole_sum_pres_contains, whole_sum(wb, c), m) == expected
 
 
 def test_pres_contains_fallback_cap_raises(a3_f257_wb):
@@ -285,15 +286,15 @@ def test_pres_fallback_skips_the_canonical_round():
     undecided_by_reference = set()
     for c in wb.all_candidates():
         summands = [wb.members[i] for i in c]
+        t = whole_sum(wb, c)
         for j in wb.gen_set(c):
             m = wb.members[j]
             got = _outcome(pres_contains, summands, m)
-            reference = _outcome(_whole_sum_pres_contains, wb.rep(c), m)
+            reference = _outcome(_whole_sum_pres_contains, t, m)
             if got == reference:
                 continue
             assert reference == "raises"
-            assert got == _outcome(_whole_sum_pres_contains, wb.rep(c), m,
-                                   math.inf)
+            assert got == _outcome(_whole_sum_pres_contains, t, m, math.inf)
             assert got == (False, {"reason": "no Add-T cover has Gen-T "
                                    "kernel", "copies_tried": 2})
             undecided_by_reference.add((wb.candidate_name(c), wb.names[j]))

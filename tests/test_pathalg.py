@@ -2,12 +2,12 @@ import numpy as np
 import pytest
 
 from siltlab.pathalg import (
+    Algebra,
     AlgebraConstructionError,
     Arrow,
     Path,
     Quiver,
     RelationSet,
-    build_algebra,
     hereditary_bound,
 )
 
@@ -32,8 +32,8 @@ def test_linear_a3_hereditary_dim(a3_algebra):
 
 def test_mult_convention(a2_algebra):
     alg = a2_algebra
-    e1 = alg.trivial_path_index("1")
-    e2 = alg.trivial_path_index("2")
+    e1 = alg.basis_index[Path("1", ())]
+    e2 = alg.basis_index[Path("2", ())]
     al = alg.basis_index[Path("2", (0,))]
     # alpha = e1 . alpha . e2 in function order (traverse alpha, land at 1)
     assert alg.mult(e1, al)[al] == 1
@@ -49,7 +49,7 @@ def test_identity_element(a3_algebra):
     alg = a3_algebra
     one = np.zeros(alg.dim, dtype=np.int64)
     for v in alg.vertices:
-        one[alg.trivial_path_index(v)] = 1
+        one[alg.basis_index[Path(v, ())]] = 1
     for i in range(alg.dim):
         left = np.zeros(alg.dim, dtype=np.int64)
         for j in np.nonzero(one)[0]:
@@ -77,14 +77,14 @@ def test_non_admissible_rejected():
     quiver = Quiver(("1", "2"),
                     (Arrow("a", "1", "2"), Arrow("b", "2", "1")))
     with pytest.raises(AlgebraConstructionError):
-        build_algebra(quiver, RelationSet((), 3), 2)
+        Algebra(quiver, RelationSet((), 3), 2)
 
 
 def test_length_one_relation_rejected():
     quiver = Quiver(("1", "2"), (Arrow("a", "2", "1"),))
     rel = ((1, Path("2", (0,))),)
     with pytest.raises(AlgebraConstructionError):
-        build_algebra(quiver, RelationSet((rel,), 2), 2)
+        Algebra(quiver, RelationSet((rel,), 2), 2)
 
 
 def test_non_parallel_relation_rejected():
@@ -94,7 +94,7 @@ def test_non_parallel_relation_rejected():
     # a*b runs 3 -> 1 but paths must be parallel within one relation
     rel = ((1, Path("3", (1, 0))), (1, Path("2", (0,))))
     with pytest.raises(AlgebraConstructionError):
-        build_algebra(quiver, RelationSet((rel,), 3), 2)
+        Algebra(quiver, RelationSet((rel,), 3), 2)
 
 
 def test_hereditary_bound():

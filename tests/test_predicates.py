@@ -2,6 +2,7 @@ import sys
 
 import numpy as np
 import pytest
+from conftest import whole_sum
 
 from siltlab import harness, linalg, modclasses, predicates, reps
 from siltlab.corpus import decompose
@@ -150,7 +151,7 @@ ORACLE_WORKBENCHES = [("a2_wb", None), ("a3_wb", None), ("nak3_wb", None),
 
 def _whole_sum_coevaluation(wb, candidate):
     """The canonical R -> T^d over a basis of Hom(R, T), T the whole sum."""
-    t = wb.rep(candidate)
+    t = whole_sum(wb, candidate)
     r = wb._regular
     basis = reps.hom_space(r, t)
     total, _, _ = reps.direct_sum(wb.algebra, [t], [len(basis)])
@@ -173,7 +174,7 @@ def test_sincerity_square_matches_whole_sum(request, fixture, max_summands):
     alg = wb.algebra
     simples = [reps.simple_module(alg, v) for v in alg.vertices]
     for c in wb.all_candidates(max_summands):
-        t = wb.rep(c)
+        t = whole_sum(wb, c)
         subfac = facsub = sincere = cosincere = True
         for vi in range(alg.n_vertices):
             whole = modclasses.subfac_facsub(t, simples[vi])[:2]
@@ -210,7 +211,7 @@ def test_coevaluation_matches_whole_sum(request, fixture, max_summands):
         d_i = {i: len(reps.hom_space(wb._regular, wb.members[i]))
                for i in c}
         d = sum(d_i.values())
-        assert d == len(reps.hom_space(wb._regular, wb.rep(c)))
+        assert d == len(reps.hom_space(wb._regular, whole_sum(wb, c)))
         expected = dict(new_dec)
         for i in c:
             expected[i] = expected.get(i, 0) + d - d_i[i]
@@ -259,7 +260,6 @@ def test_sincerity_square_builds_no_direct_sum(a3_wb, monkeypatch):
                           satisfies_subfac, satisfies_facsub):
             predicate(wb, c)
     assert calls == []
-    assert wb._rep_cache == {}
 
 
 def test_gen_eq_pres_builds_no_direct_sum(a3_wb, monkeypatch):
@@ -271,4 +271,3 @@ def test_gen_eq_pres_builds_no_direct_sum(a3_wb, monkeypatch):
         wb.gen_eq_pres(c)
     assert sums == []
     assert factorizations == []
-    assert wb._rep_cache == {}
