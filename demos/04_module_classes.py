@@ -27,7 +27,7 @@ print("   and S1 is not in Gen P2:", gen_contains(p2, s1))
 
 # the torsion pair attached to the trace of T splits any module into a
 # generated part and a Hom-orthogonal quotient
-m, _, _ = direct_sum(algebra, [s1, s2])
+m = direct_sum(algebra, [s1, s2])
 out = torsion_decompose(p2, m, presilting_verified=True)
 print("torsion part of S1+S2 along P2:", out["torsion"].dims)
 print("torsion-free quotient:", out["quotient"].dims)

@@ -25,6 +25,8 @@ from .reps import (
     hom_space,
     injective_layout,
     injective_module,
+    morphism_into_sum,
+    morphism_out_of_sum,
     projective_module,
     radical_spans,
     socle_spans,
@@ -41,51 +43,20 @@ def default_resolution_bound(algebra: Algebra) -> int:
     return 2 * algebra.dim + 4
 
 
-def _complement_vectors(span: np.ndarray, dim: int, p: int) -> list[np.ndarray]:
-    """Standard vectors extending the span's columns to a basis."""
-    ech = linalg.row_reduce(span.T, p)
-    pivots = set(ech.pivot_columns)
-    out = []
-    for c in range(dim):
-        if c not in pivots:
-            e = np.zeros(dim, dtype=np.int64)
-            e[c] = 1
-            out.append(e)
-    return out
-
-
-def _combine_into_sum(target: Representation, parts: list[Morphism],
-                      total_source: Representation) -> Morphism:
-    """Morphism from a direct sum, given the per-summand morphisms in
-    direct_sum's expanded order."""
-    nv = target.algebra.n_vertices
-    maps = []
-    for i in range(nv):
-        cols = [f.vertex_maps[i] for f in parts]
-        if cols:
-            maps.append(np.hstack(cols))
-        else:
-            maps.append(linalg.zeros(target.dims[i], 0))
-    return Morphism(total_source, target, maps)
-
-
 def projective_cover(m: Representation) -> Morphism:
     """Minimal epimorphism P -> M with P = sum of P(v) over top M."""
     cached = m._cache.get("projective_cover")
     if cached is not None:
         return cached
     alg = m.algebra
-    p = alg.p
-    rad = radical_spans(m)
     parts_data: list[tuple[str, np.ndarray]] = []
-    for vi, v in enumerate(alg.vertices):
-        for x in _complement_vectors(rad[vi], m.dims[vi], p):
-            parts_data.append((v, x))
+    for v, rad in zip(alg.vertices, radical_spans(m)):
+        comp, _ = linalg.basis_complement(rad)
+        parts_data.extend((v, x) for x in comp.T)
     projs = [projective_module(alg, v) for v, _ in parts_data]
-    total, _, _ = direct_sum(alg, projs)
     parts = [hom_from_projective(alg, v, pv, m, x)
              for (v, x), pv in zip(parts_data, projs)]
-    cover = _combine_into_sum(m, parts, total)
+    cover = morphism_out_of_sum(direct_sum(alg, projs), m, parts)
     m._cache["projective_cover"] = cover
     return cover
 
@@ -97,26 +68,16 @@ class ProjectivePresentation:
     p1: Representation
     p0: Representation
     sigma: Morphism
-    cokernel: Representation
     cok_projection: Morphism
-    minimal: bool
 
 
 def minimal_presentation(m: Representation) -> ProjectivePresentation:
-    cached = m._cache.get("minimal_presentation")
-    if cached is not None:
-        return cached
-    cover0 = projective_cover(m)
-    parts = factorize(cover0)
-    kernel, incl = parts["kernel"], parts["kernel_inclusion"]
-    cover1 = projective_cover(kernel)
-    sigma = incl.compose(cover1)
-    pres = ProjectivePresentation(
-        p1=cover1.source, p0=cover0.source, sigma=sigma,
-        cokernel=m, cok_projection=cover0, minimal=True,
+    """The first two terms of the minimal resolution of m."""
+    res = minimal_resolution(m, 1)
+    return ProjectivePresentation(
+        p1=res.term(1), p0=res.terms[0], sigma=res.differential(1),
+        cok_projection=res.augmentation,
     )
-    m._cache["minimal_presentation"] = pres
-    return pres
 
 
 @dataclass
@@ -129,7 +90,7 @@ class Resolution:
     augmentation: Morphism  # terms[0] -> resolved
     status: str  # "terminated" | "bound-exceeded"
     length: int  # index of last nonzero term when terminated
-    frontier: tuple[Representation, Morphism] | None = None
+    frontier: tuple[Representation, Morphism | None] | None = None
 
     def term(self, i: int) -> Representation:
         if i < len(self.terms):
@@ -149,29 +110,27 @@ class Resolution:
 
 
 def minimal_resolution(m: Representation, max_length: int) -> Resolution:
-    """Iterated projective covers of syzygies up to max_length terms."""
+    """Iterated projective covers of syzygies up to max_length terms.
+
+    The frontier is the module to cover next with its inclusion into the
+    previous term; M itself has none, and its cover is the augmentation.
+    """
     if max_length < 0:
         raise linalg.MalformedInputError("max_length must be >= 0")
     res: Resolution | None = m._cache.get("resolution")
     if res is None:
-        cover = projective_cover(m)
         res = Resolution(
-            resolved=m, terms=[cover.source], differentials=[],
-            augmentation=cover, status="bound-exceeded", length=0,
-            frontier=None,
+            resolved=m, terms=[], differentials=[], augmentation=None,
+            status="bound-exceeded", length=0, frontier=(m, None),
         )
-        parts = factorize(cover)
-        kernel, incl = parts["kernel"], parts["kernel_inclusion"]
-        if kernel.is_zero():
-            res.status = "terminated"
-            res.length = 0
-        else:
-            res.frontier = (kernel, incl)
         m._cache["resolution"] = res
     while res.status != "terminated" and len(res.terms) <= max_length:
         kernel, incl = res.frontier
         cover = projective_cover(kernel)
-        res.differentials.append(incl.compose(cover))
+        if incl is None:
+            res.augmentation = cover
+        else:
+            res.differentials.append(incl.compose(cover))
         res.terms.append(cover.source)
         parts = factorize(cover)
         next_kernel, next_incl = parts["kernel"], parts["kernel_inclusion"]
@@ -264,17 +223,13 @@ def injective_envelope(m: Representation) -> Morphism:
         s = basis.shape[1]
         if s == 0:
             continue
-        comp_vecs = _complement_vectors(basis, m.dims[vi], p)
-        comp = (np.stack(comp_vecs, axis=1) if comp_vecs
-                else linalg.zeros(m.dims[vi], 0))
-        change = np.hstack([basis, comp])
+        _, change = linalg.basis_complement(basis)
         inv = linalg.invert(change, p)
         for j in range(s):
             # functional dual to the j-th socle basis vector, vanishing on
             # the complement
             parts_data.append((v, inv[j, :]))
     injs = [injective_module(alg, v) for v, _ in parts_data]
-    total, _, _ = direct_sum(alg, injs)
     parts = []
     for (v, lam), iv in zip(parts_data, injs):
         layout = injective_layout(alg, v)
@@ -288,15 +243,7 @@ def injective_envelope(m: Representation) -> Morphism:
             else:
                 maps.append(linalg.zeros(0, m.dims[ui]))
         parts.append(Morphism(m, iv, maps))
-    nv = alg.n_vertices
-    maps = []
-    for i in range(nv):
-        blocks = [f.vertex_maps[i] for f in parts]
-        if blocks:
-            maps.append(np.vstack(blocks))
-        else:
-            maps.append(linalg.zeros(0, m.dims[i]))
-    env = Morphism(m, total, maps)
+    env = morphism_into_sum(m, direct_sum(alg, injs), parts)
     m._cache["injective_envelope"] = env
     return env
 

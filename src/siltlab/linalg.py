@@ -10,7 +10,6 @@ reproducible bit-for-bit.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -180,21 +179,12 @@ def kernel(a, p: int) -> np.ndarray:
     return row_reduce(a, p).kernel_basis
 
 
-@dataclass(frozen=True)
-class Solution:
-    """All solutions of A X = B: particular + kernel combinations."""
-
-    particular: np.ndarray
-    kernel_basis: np.ndarray
-    modulus: int
-
-
-def solve(a, b, p: int) -> Solution | None:
-    """Solve A X = B exactly; None when inconsistent.
+def solve(a, b, p: int) -> np.ndarray | None:
+    """A particular solution X of A X = B; None when inconsistent.
 
     Eliminates [A | B] pivoting in A only: the system is consistent when
     the rows past the rank vanish on B, and then the B part of the pivot
-    rows is the particular solution.
+    rows is the solution, zero at the free columns.
     """
     check_prime(p)
     a = np.asarray(a, dtype=np.int64)
@@ -211,7 +201,7 @@ def solve(a, b, p: int) -> Solution | None:
     x = [[0] * k for _ in range(n)]
     for i, c in enumerate(pivots):
         x[c] = rows[i][n:]
-    return Solution(_array(x, n, k), _kernel_basis(rows, pivots, n, p), p)
+    return _array(x, n, k)
 
 
 def column_space_basis(a: np.ndarray, p: int) -> np.ndarray:
@@ -220,6 +210,22 @@ def column_space_basis(a: np.ndarray, p: int) -> np.ndarray:
     byte-identical output."""
     ech = row_reduce(np.asarray(a).T, p)
     return ech.rref[: ech.rank].T.copy()
+
+
+def basis_complement(span: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Standard vectors completing a canonical span to a basis.
+
+    ``span`` is a column_space_basis output, so the pivot of its column k
+    is that column's first nonzero entry.  Returns the standard vectors at
+    the other coordinates, as columns, and the invertible change-of-basis
+    matrix [span | complement].
+    """
+    dim, r = span.shape
+    pivots = {int(np.flatnonzero(span[:, k])[0]) for k in range(r)}
+    free = [c for c in range(dim) if c not in pivots]
+    comp = zeros(dim, len(free))
+    comp[free, range(len(free))] = 1
+    return comp, np.hstack([span, comp])
 
 
 def assemble_block(blocks: list[list[np.ndarray]], p: int) -> np.ndarray:

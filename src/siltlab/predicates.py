@@ -42,11 +42,11 @@ from .modclasses import (
     trace_spans,
 )
 from .reps import (
-    Morphism,
     direct_sum,
     factorize,
     hom_space,
     injective_module,
+    morphism_into_sum,
     projective_module,
     regular_module,
     simple_module,
@@ -88,16 +88,12 @@ class PredicateReport:
 class Workbench:
     """Memoized pairwise data for one algebra and its corpus."""
 
-    def __init__(self, corpus: Corpus, resolution_bound: int | None = None):
+    def __init__(self, corpus: Corpus):
         self.corpus = corpus
         self.algebra = corpus.algebra
         self.members = corpus.members
         self.names = corpus.names
-        self.resolution_bound = (
-            resolution_bound
-            if resolution_bound is not None
-            else default_resolution_bound(self.algebra)
-        )
+        self.resolution_bound = default_resolution_bound(self.algebra)
         self._hom: dict[tuple[int, int], int] = {}
         self._ext: dict[tuple[int, int, int], int] = {}
         self._pd: dict[int, int | None] = {}
@@ -375,16 +371,20 @@ def is_silting(wb: Workbench, candidate: Candidate) -> PredicateReport:
                    "gen_equals_presentation_class", witness)
 
 
-def is_pretilting(wb: Workbench, candidate: Candidate) -> PredicateReport:
+def _pd_and_self_ext1(wb: Workbench, candidate: Candidate):
+    """(pd T, dim Ext^1(T, T)), the data of conditions T1 (pd <= 1) and
+    T2 (no self-extensions); raises when pd is undecided at the bound."""
     pd = wb.candidate_pd(candidate)
     if pd is None:
         raise BoundExceededError(
             f"projective dimension of {wb.candidate_name(candidate)} "
             f"undecided at bound {wb.resolution_bound}"
         )
-    self_ext = sum(
-        wb.ext(1, i, j) for i in candidate for j in candidate
-    )
+    return pd, sum(wb.ext(1, i, j) for i in candidate for j in candidate)
+
+
+def is_pretilting(wb: Workbench, candidate: Candidate) -> PredicateReport:
+    pd, self_ext = _pd_and_self_ext1(wb, candidate)
     verdict = pd <= 1 and self_ext == 0
     witness = {"pd": pd, "ext1_self": self_ext} if not verdict else None
     return _report(wb, candidate, "pretilting", verdict,
@@ -412,20 +412,11 @@ def _coevaluation(wb: Workbench, candidate: Candidate):
     is, after a change of basis, this map plus copies of the T_i it
     misses; those lie in add T, so both cokernels are in add T together.
     """
-    alg = wb.algebra
     r = wb._regular
     bases = [hom_space(r, wb.members[i]) for i in candidate]
-    basis = [f for b in bases for f in b]
-    total, _, _ = direct_sum(alg, [wb.members[i] for i in candidate],
-                             [len(b) for b in bases])
-    maps = []
-    for vi in range(alg.n_vertices):
-        rows = [f.vertex_maps[vi] for f in basis]
-        if rows:
-            maps.append(np.vstack(rows))
-        else:
-            maps.append(linalg.zeros(0, r.dims[vi]))
-    return Morphism(r, total, maps)
+    total = direct_sum(wb.algebra, [wb.members[i] for i in candidate],
+                       [len(b) for b in bases])
+    return morphism_into_sum(r, total, [f for b in bases for f in b])
 
 
 def is_tilting(wb: Workbench, candidate: Candidate,
@@ -440,17 +431,9 @@ def is_tilting(wb: Workbench, candidate: Candidate,
         if gen != perp1:
             witness["perp1_not_gen"] = sorted(
                 wb.names[j] for j in perp1 - gen)
-    needs_t12 = "T123" in routes or "vanishing" in routes
-    if needs_t12:
-        pd = wb.candidate_pd(candidate)
-        if pd is None:
-            raise BoundExceededError(
-                f"projective dimension of {wb.candidate_name(candidate)} "
-                f"undecided at bound {wb.resolution_bound}"
-            )
-        t1 = pd <= 1
-        t2 = all(wb.ext(1, i, j) == 0
-                 for i in candidate for j in candidate)
+    if "T123" in routes or "vanishing" in routes:
+        pd, self_ext = _pd_and_self_ext1(wb, candidate)
+        t1, t2 = pd <= 1, self_ext == 0
     if "T123" in routes:
         t3 = False
         if t1 and t2:

@@ -270,7 +270,7 @@ def injective_layout(algebra: Algebra, v: str) -> dict[str, list[Path]]:
 
 def regular_module(algebra: Algebra) -> Representation:
     reps = [projective_module(algebra, v) for v in algebra.vertices]
-    summed, _, _ = direct_sum(algebra, reps)
+    summed = direct_sum(algebra, reps)
     summed.name = "R"
     return summed
 
@@ -365,8 +365,7 @@ def _canonical_spans(n: Representation, spans: list[np.ndarray]):
     return [linalg.column_space_basis(s, p) for s in spans]
 
 
-def sub_representation(n: Representation, spans: list[np.ndarray],
-                       canonical: bool = True):
+def sub_representation(n: Representation, spans: list[np.ndarray]):
     """Subrepresentation on per-vertex column spans (must be action-closed).
 
     Returns (sub, inclusion).
@@ -374,7 +373,7 @@ def sub_representation(n: Representation, spans: list[np.ndarray],
     alg = n.algebra
     p = alg.p
     q = alg.quiver
-    basis = _canonical_spans(n, spans) if canonical else spans
+    basis = _canonical_spans(n, spans)
     dims = [b.shape[1] for b in basis]
     maps = []
     for ai, arrow in enumerate(q.arrows):
@@ -384,7 +383,7 @@ def sub_representation(n: Representation, spans: list[np.ndarray],
         sol = linalg.solve(basis[w], rhs, p)
         if sol is None:
             raise MalformedInputError("spans are not closed under the action")
-        maps.append(sol.particular)
+        maps.append(sol)
     sub = Representation(alg, dims, maps)
     incl = Morphism(sub, n, basis)
     return sub, incl
@@ -398,23 +397,12 @@ def quotient_representation(n: Representation, spans: list[np.ndarray]):
     alg = n.algebra
     p = alg.p
     q = alg.quiver
-    basis = _canonical_spans(n, spans)
     projections = []
     sections = []
-    for i in range(alg.n_vertices):
-        b = basis[i]
-        dim = n.dims[i]
-        r = b.shape[1]
-        ech = linalg.row_reduce(b.T, p)
-        pivots = set(ech.pivot_columns)
-        free = [c for c in range(dim) if c not in pivots]
-        comp = linalg.zeros(dim, len(free))
-        for k, c in enumerate(free):
-            comp[c, k] = 1
-        change = np.hstack([b, comp]) if dim else linalg.zeros(0, 0)
-        inv = linalg.invert(change, p) if dim else linalg.zeros(0, 0)
-        projections.append(inv[r:, :])
-        sections.append(change[:, r:] if dim else linalg.zeros(0, 0))
+    for b in _canonical_spans(n, spans):
+        comp, change = linalg.basis_complement(b)
+        projections.append(linalg.invert(change, p)[b.shape[1]:, :])
+        sections.append(comp)
     dims = [pr.shape[0] for pr in projections]
     maps = []
     for ai, arrow in enumerate(q.arrows):
@@ -468,10 +456,8 @@ def factorize(f: Morphism):
     im_spans = [mat for mat in f.vertex_maps]
     image_rep, image_incl = sub_representation(f.target, im_spans)
     # corestriction source -> image: solve incl . g = f vertexwise
-    g_maps = []
-    for i in range(alg.n_vertices):
-        sol = linalg.solve(image_incl.vertex_maps[i], f.vertex_maps[i], p)
-        g_maps.append(sol.particular)
+    g_maps = [linalg.solve(image_incl.vertex_maps[i], f.vertex_maps[i], p)
+              for i in range(alg.n_vertices)]
     image_proj = Morphism(f.source, image_rep, g_maps)
     cokernel_rep, cokernel_proj = quotient_representation(f.target, im_spans)
     return {
@@ -490,12 +476,9 @@ def factorize(f: Morphism):
 
 
 def direct_sum(algebra: Algebra, reps: list[Representation],
-               multiplicities: list[int] | None = None):
-    """Direct sum with injections and projections.
-
-    Returns (sum, injections, projections); the summand order is the
-    multiplicity-expanded input order.
-    """
+               multiplicities: list[int] | None = None) -> Representation:
+    """Direct sum of the multiplicity-expanded summands, in input order:
+    each arrow acts block-diagonally."""
     if multiplicities is None:
         multiplicities = [1] * len(reps)
     expanded: list[Representation] = []
@@ -515,24 +498,29 @@ def direct_sum(algebra: Algebra, reps: list[Representation],
             u = algebra.quiver.vertex_index(arrow.source)
             w = algebra.quiver.vertex_index(arrow.target)
             maps.append(linalg.zeros(dims[w], dims[u]))
-    total = Representation(algebra, dims, maps)
-    injections = []
-    projections = []
-    offsets = [0] * nv
-    for r in expanded:
-        inj = []
-        proj = []
-        for i in range(nv):
-            col = linalg.zeros(dims[i], r.dims[i])
-            col[offsets[i]:offsets[i] + r.dims[i], :] = linalg.identity(
-                r.dims[i])
-            inj.append(col)
-            proj.append(col.T.copy())
-        injections.append(Morphism(r, total, inj))
-        projections.append(Morphism(total, r, proj))
-        for i in range(nv):
-            offsets[i] += r.dims[i]
-    return total, injections, projections
+    return Representation(algebra, dims, maps)
+
+
+def morphism_out_of_sum(total: Representation, target: Representation,
+                        parts: list[Morphism]) -> Morphism:
+    """The morphism total -> target whose k-th block is parts[k], for
+    total the direct sum of the parts' sources: at each vertex the parts'
+    matrices side by side."""
+    maps = [np.hstack([linalg.zeros(d, 0)]
+                      + [f.vertex_maps[i] for f in parts])
+            for i, d in enumerate(target.dims)]
+    return Morphism(total, target, maps)
+
+
+def morphism_into_sum(source: Representation, total: Representation,
+                      parts: list[Morphism]) -> Morphism:
+    """The morphism source -> total whose k-th block is parts[k], for
+    total the direct sum of the parts' targets: at each vertex the parts'
+    matrices stacked."""
+    maps = [np.vstack([linalg.zeros(0, d)]
+                      + [f.vertex_maps[i] for f in parts])
+            for i, d in enumerate(source.dims)]
+    return Morphism(source, total, maps)
 
 
 # ---------------------------------------------------------------------------
@@ -679,6 +667,8 @@ __all__ = [
     "hom_space",
     "injective_module",
     "is_isomorphic",
+    "morphism_into_sum",
+    "morphism_out_of_sum",
     "projective_module",
     "quotient_representation",
     "radical_of_spans",

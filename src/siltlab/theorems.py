@@ -205,13 +205,9 @@ def check_candidate(wb: Workbench, cand: Candidate,
             "skip", "hypothesis (sincere silting) not satisfied")
 
     if v["self_orthogonal"] and pd is not None and gen_pres:
-        ok = all(
-            wb.ext_from_candidate(d, cand, j) == 0
-            for j in wb.gen_set(cand)
-            for d in range(1, pd + 1)
-        )
         out["selforth_genpres_gen_in_high_perp"] = (
-            InstanceOutcome("pass") if ok
+            InstanceOutcome("pass")
+            if _gen_in_perp(wb, cand, range(1, pd + 1))
             else InstanceOutcome("fail",
                                  "Gen member with Ext^i(T,-) nonzero")
         )

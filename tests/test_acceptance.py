@@ -244,7 +244,7 @@ def test_criterion_7_hom_additivity(five_workbenches):
         members = wb.members
         for i, m in enumerate(members):
             for j, n in enumerate(members):
-                summed, _, _ = direct_sum(wb.algebra, [m, n])
+                summed = direct_sum(wb.algebra, [m, n])
                 for x in members:
                     assert hom_dim(summed, x) == (
                         hom_dim(m, x) + hom_dim(n, x))

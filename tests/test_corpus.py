@@ -70,7 +70,7 @@ def test_indecomposability(a2_algebra):
     assert is_indecomposable(p2)
     s1 = simple_module(alg, "1")
     assert is_indecomposable(s1)
-    summed, _, _ = direct_sum(alg, [p2, s1])
+    summed = direct_sum(alg, [p2, s1])
     assert not is_indecomposable(summed)
 
 
@@ -86,7 +86,7 @@ def test_fitting_fallback_finds_split(a2_algebra, monkeypatch):
 
     monkeypatch.setattr(corpus, "combination", counted)
     s1 = simple_module(a2_algebra, "1")
-    m, _, _ = direct_sum(a2_algebra, [s1], [5])
+    m = direct_sum(a2_algebra, [s1], [5])
     assert 2 ** hom_dim(m, m) > SEARCH_CAP
     assert not is_indecomposable(m)
     assert calls == []
@@ -279,7 +279,7 @@ def test_decompose_identifies_summands(a3_wb):
     mults = {0: 2, 3: 1}
     reps = [wb.members[i] for i in sorted(mults)]
     counts = [mults[i] for i in sorted(mults)]
-    summed, _, _ = direct_sum(alg, reps, counts)
+    summed = direct_sum(alg, reps, counts)
     assert decompose(summed, wb.corpus) == mults
 
 

@@ -97,7 +97,7 @@ def test_ext_additive_over_sums(nak3_wb):
     import itertools
 
     for js in itertools.combinations(range(len(wb.members)), 2):
-        summed, _, _ = direct_sum(alg, [wb.members[j] for j in js])
+        summed = direct_sum(alg, [wb.members[j] for j in js])
         for k, n in enumerate(wb.members):
             for d in (1, 2):
                 assert ext_dim(d, summed, n) == sum(
@@ -126,9 +126,27 @@ def test_minimal_presentation_shape(a2_algebra):
     pres = minimal_presentation(s2)
     assert pres.p0.dims == (1, 1)  # P2
     assert pres.p1.dims == (1, 0)  # P1
-    assert pres.minimal
     comp = pres.cok_projection.compose(pres.sigma)
     assert comp.is_zero()
+
+
+@pytest.mark.parametrize("fixture", ["a2_wb", "a3_wb", "a4_wb", "nak3_wb",
+                                     "cyc2_wb"])
+def test_presentation_is_a_view_of_the_resolution(request, fixture):
+    wb = request.getfixturevalue(fixture)
+    nonprojective = 0
+    for m in wb.members:
+        pres = minimal_presentation(m)
+        res = minimal_resolution(m, 1)
+        assert pres.p0 is res.terms[0]
+        assert pres.cok_projection is res.augmentation is projective_cover(m)
+        if len(res.terms) > 1:
+            nonprojective += 1
+            assert pres.p1 is res.terms[1]
+            assert pres.sigma is res.differentials[0]
+        else:
+            assert pres.p1.is_zero() and pres.sigma.is_zero()
+    assert nonprojective
 
 
 def test_d_sigma_inside_perp1(a3_wb, nak3_wb, cyc2_wb):

@@ -117,8 +117,7 @@ def test_empty_shapes(shape):
     assert np.array_equal(linalg.kernel(a, 3), np.eye(n, dtype=np.int64))
     assert linalg.column_space_basis(a, 3).shape == (m, 0)
     sol = linalg.solve(a, linalg.zeros(m, 2), 3)
-    assert sol.particular.shape == (n, 2) and not sol.particular.any()
-    assert np.array_equal(sol.kernel_basis, np.eye(n, dtype=np.int64))
+    assert sol.shape == (n, 2) and not sol.any()
     if m:
         assert linalg.solve(a, np.ones(m, dtype=np.int64), 3) is None
     if m == n:
@@ -139,9 +138,11 @@ def test_solve_particular_and_kernel():
     b = np.array([2, 1])
     sol = linalg.solve(a, b, 3)
     assert sol is not None
-    assert np.array_equal((a @ sol.particular[:, 0]) % 3, b % 3)
-    for k in range(sol.kernel_basis.shape[1]):
-        shifted = (sol.particular[:, 0] + sol.kernel_basis[:, k]) % 3
+    assert np.array_equal((a @ sol[:, 0]) % 3, b % 3)
+    kernel = linalg.kernel(a, 3)
+    assert kernel.shape == (3, 1)
+    for k in range(kernel.shape[1]):
+        shifted = (sol[:, 0] + kernel[:, k]) % 3
         assert np.array_equal((a @ shifted) % 3, b % 3)
 
 
@@ -242,4 +243,26 @@ def test_solve_round_trip(p, n, seed):
     b = (a @ x) % p
     sol = linalg.solve(a, b, p)
     assert sol is not None
-    assert np.array_equal((a @ sol.particular) % p, b)
+    assert np.array_equal((a @ sol) % p, b)
+
+
+@given(
+    st.sampled_from([2, 3, 5]),
+    st.integers(0, 6),
+    st.integers(0, 6),
+    st.integers(0, 10**9),
+)
+@settings(max_examples=80, deadline=None)
+def test_basis_complement_of_random_spans(p, dim, k, seed):
+    rng = np.random.default_rng(seed)
+    # a product through k columns gives spans of every rank up to k
+    gens = (rng.integers(0, p, size=(dim, k))
+            @ rng.integers(0, p, size=(k, 4))) % p
+    span = linalg.column_space_basis(gens, p)
+    comp, change = linalg.basis_complement(span)
+    assert np.array_equal(change, np.hstack([span, comp]))
+    assert linalg.rank(change, p) == dim == change.shape[1]
+    # the complement is the standard vectors at the non-pivot coordinates
+    pivots = linalg.row_reduce(span.T, p).pivot_columns
+    free = [c for c in range(dim) if c not in pivots]
+    assert np.array_equal(comp, np.eye(dim, dtype=np.int64)[:, free])

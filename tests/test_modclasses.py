@@ -80,7 +80,7 @@ def test_add_contains(a2_wb):
     i_p2 = wb.corpus.index_of("P2")
     i_s1 = wb.corpus.index_of("S1")
     p2 = wb.members[i_p2]
-    doubled, _, _ = direct_sum(alg, [p2], [2])
+    doubled = direct_sum(alg, [p2], [2])
     assert add_contains({i_p2: 1}, doubled, wb.corpus)
     assert not add_contains({i_p2: 1}, wb.members[i_s1], wb.corpus)
 
@@ -122,7 +122,7 @@ def test_torsion_decomposition(a2_wb):
     alg = wb.algebra
     p2 = wb.members[wb.corpus.index_of("P2")]
     s2 = simple_module(alg, "2")
-    m, _, _ = direct_sum(alg, [s2, wb.members[wb.corpus.index_of("S1")]])
+    m = direct_sum(alg, [s2, wb.members[wb.corpus.index_of("S1")]])
     out = torsion_decompose(p2, m, presilting_verified=True)
     assert out["warning"] is None
     assert out["torsion_in_gen"]
@@ -168,7 +168,7 @@ def _whole_sum_evaluation(t, m, coefficients):
     alg = m.algebra
     basis = hom_space(t, m)
     r = coefficients.shape[1]
-    total, _, _ = direct_sum(alg, [t], [r])
+    total = direct_sum(alg, [t], [r])
     maps = []
     for vi in range(alg.n_vertices):
         cols = []

@@ -5,6 +5,7 @@ import pytest
 from conftest import whole_sum
 
 from siltlab import harness, linalg, modclasses, predicates, reps
+from siltlab.algfile import load_algebra_file
 from siltlab.corpus import decompose
 from siltlab.homology import BoundExceededError
 from siltlab.predicates import (
@@ -154,7 +155,7 @@ def _whole_sum_coevaluation(wb, candidate):
     t = whole_sum(wb, candidate)
     r = wb._regular
     basis = reps.hom_space(r, t)
-    total, _, _ = reps.direct_sum(wb.algebra, [t], [len(basis)])
+    total = reps.direct_sum(wb.algebra, [t], [len(basis)])
     maps = [np.vstack([f.vertex_maps[vi] for f in basis]) if basis
             else linalg.zeros(0, r.dims[vi])
             for vi in range(wb.algebra.n_vertices)]
@@ -271,3 +272,33 @@ def test_gen_eq_pres_builds_no_direct_sum(a3_wb, monkeypatch):
         wb.gen_eq_pres(c)
     assert sums == []
     assert factorizations == []
+
+
+@pytest.mark.parametrize("name", ["a2", "a3", "a4", "nakayama_a3",
+                                  "nakayama_cycle2"])
+def test_dsigma_table_solves_no_hom_system_beyond_ext1(alg_dir, name,
+                                                       monkeypatch):
+    """D_sigma reads Hom(P1, X) and Hom(P0, X) for the P1 -> P0 of the
+    minimal resolution, so once the Ext^1 table is full every Hom system
+    with a nonzero source is already solved."""
+    wb = harness.load_workbench(load_algebra_file(alg_dir / f"{name}.alg"))
+    pairs = [(i, j) for i in range(len(wb.members))
+             for j in range(len(wb.members))]
+    for i, j in pairs:
+        wb.ext(1, i, j)
+    original = reps.hom_space
+    solved = []
+
+    def recording(m, n):
+        if not m.is_zero() and ("hom", n) not in m._cache:
+            solved.append((m, n))
+        return original(m, n)
+
+    for mod_name, sub in list(sys.modules.items()):
+        if (mod_name.startswith("siltlab.")
+                and vars(sub).get("hom_space") is original):
+            monkeypatch.setattr(sub, "hom_space", recording)
+    for i, j in pairs:
+        wb.dsig(i, j)
+    assert len(wb._dsig) == len(pairs)
+    assert solved == []

@@ -19,6 +19,8 @@ from siltlab.reps import (
     hom_space,
     injective_module,
     is_isomorphic,
+    morphism_into_sum,
+    morphism_out_of_sum,
     projective_module,
     quotient_representation,
     radical_of_spans,
@@ -107,7 +109,7 @@ def test_direct_sum_hom_additivity(a3_wb):
     members = wb.members
     for i in range(len(members)):
         for j in range(len(members)):
-            summed, _, _ = direct_sum(alg, [members[i], members[j]])
+            summed = direct_sum(alg, [members[i], members[j]])
             assert hom_dim(summed, members[0]) == (
                 hom_dim(members[i], members[0])
                 + hom_dim(members[j], members[0])
@@ -176,7 +178,7 @@ def test_validate_detects_relation_violation(nak3_algebra):
 def test_is_isomorphic_negative(a2_algebra):
     alg = a2_algebra
     p2 = projective_module(alg, "2")
-    s1s2, _, _ = direct_sum(alg, [simple_module(alg, "1"),
+    s1s2 = direct_sum(alg, [simple_module(alg, "1"),
                                   simple_module(alg, "2")])
     assert p2.dims == s1s2.dims
     assert not is_isomorphic(p2, s1s2)
@@ -345,8 +347,8 @@ def test_iso_witness_is_first_in_product_order():
     alg = zoo.a2(3).build()
     s1 = simple_module(alg, "1")
     p2 = projective_module(alg, "2")
-    x, _, _ = direct_sum(alg, [s1, s1, p2])
-    y, _, _ = direct_sum(alg, [p2, s1, s1])
+    x = direct_sum(alg, [s1, s1, p2])
+    y = direct_sum(alg, [p2, s1, s1])
     for m, n in [(x, x), (x, y), (y, x), (s1, s1), (p2, p2)]:
         basis = hom_space(m, n)
         assert 3 ** len(basis) <= SEARCH_CAP
@@ -364,12 +366,49 @@ def test_iso_search_samples_beyond_cap():
     s1 = simple_module(alg, "1")
     s2 = simple_module(alg, "2")
     p2 = projective_module(alg, "2")
-    twice, _, _ = direct_sum(alg, [s1, s1])
+    twice = direct_sum(alg, [s1, s1])
     assert (257 ** hom_dim(twice, twice) - 1) // 256 > SEARCH_CAP
     found, witness = is_isomorphic(twice, twice, with_witness=True)
     assert found and witness.is_iso() and witness.is_natural()
-    m, _, _ = direct_sum(alg, [s1, s1, s2])
-    n, _, _ = direct_sum(alg, [s1, p2])
+    m = direct_sum(alg, [s1, s1, s2])
+    n = direct_sum(alg, [s1, p2])
     assert m.dims == n.dims and (257 ** hom_dim(m, n) - 1) // 256 > SEARCH_CAP
     with pytest.raises(UndecidableError):
         is_isomorphic(m, n)
+
+
+def _assert_blocks(f, parts, axis):
+    """Part k of a map into (axis 0) or out of (axis 1) a sum is its k-th
+    block of rows or columns at every vertex."""
+    offsets = [0] * len(f.vertex_maps)
+    for part in parts:
+        for vi, mat in enumerate(part.vertex_maps):
+            d = mat.shape[axis]
+            block = np.take(f.vertex_maps[vi],
+                            range(offsets[vi], offsets[vi] + d), axis=axis)
+            assert np.array_equal(block, mat)
+            offsets[vi] += d
+
+
+def test_sum_maps_have_the_parts_as_blocks(a3_wb):
+    alg = a3_wb.algebra
+    members = a3_wb.members
+    for m in members:
+        into_parts = [f for n in members for f in hom_space(m, n)]
+        out_parts = [f for n in members for f in hom_space(n, m)]
+        assert into_parts and out_parts
+        for parts in (into_parts, []):
+            total = direct_sum(alg, [f.target for f in parts])
+            into = morphism_into_sum(m, total, parts)
+            assert (into.source, into.target) == (m, total)
+            assert into.is_natural()
+            _assert_blocks(into, parts, 0)
+        for parts in (out_parts, []):
+            total = direct_sum(alg, [f.source for f in parts])
+            out = morphism_out_of_sum(total, m, parts)
+            assert (out.source, out.target) == (total, m)
+            assert out.is_natural()
+            _assert_blocks(out, parts, 1)
+        # with no parts the sum is zero and so is every vertex map
+        assert morphism_into_sum(m, direct_sum(alg, []), []).is_zero()
+        assert morphism_out_of_sum(direct_sum(alg, []), m, []).is_zero()
