@@ -19,12 +19,12 @@ from .reps import (
     Morphism,
     Representation,
     direct_sum,
-    factorize,
     hom_dim,
     hom_from_projective,
     hom_space,
     injective_layout,
     injective_module,
+    kernel,
     morphism_into_sum,
     morphism_out_of_sum,
     projective_module,
@@ -125,15 +125,14 @@ def minimal_resolution(m: Representation, max_length: int) -> Resolution:
         )
         m._cache["resolution"] = res
     while res.status != "terminated" and len(res.terms) <= max_length:
-        kernel, incl = res.frontier
-        cover = projective_cover(kernel)
+        syzygy, incl = res.frontier
+        cover = projective_cover(syzygy)
         if incl is None:
             res.augmentation = cover
         else:
             res.differentials.append(incl.compose(cover))
         res.terms.append(cover.source)
-        parts = factorize(cover)
-        next_kernel, next_incl = parts["kernel"], parts["kernel_inclusion"]
+        next_kernel, next_incl = kernel(cover)
         if next_kernel.is_zero():
             res.status = "terminated"
             res.length = len(res.terms) - 1
@@ -157,9 +156,8 @@ def projective_dimension(m: Representation,
     return None
 
 
-def ext_dim(i: int, m: Representation, n: Representation,
-            max_length: int | None = None) -> int:
-    """dim Ext^i(M, N) from the minimal resolution of M."""
+def ext_dim(i: int, m: Representation, n: Representation) -> int:
+    """dim Ext^i(M, N) from terms 0..i+1 of the minimal resolution of M."""
     if i < 0:
         raise linalg.MalformedInputError("degree must be >= 0")
     if m.algebra is not n.algebra:
@@ -168,11 +166,7 @@ def ext_dim(i: int, m: Representation, n: Representation,
         return hom_dim(m, n)
     if m.is_zero() or n.is_zero():
         return 0
-    if max_length is None:
-        max_length = max(default_resolution_bound(m.algebra), i + 1)
-    if max_length < i + 1:
-        max_length = i + 1
-    res = minimal_resolution(m, max_length)
+    res = minimal_resolution(m, i + 1)
     pi = res.term(i)
     if pi.is_zero():
         return 0

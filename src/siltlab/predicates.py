@@ -42,8 +42,8 @@ from .modclasses import (
     trace_spans,
 )
 from .reps import (
+    cokernel,
     direct_sum,
-    factorize,
     hom_space,
     injective_module,
     morphism_into_sum,
@@ -101,6 +101,7 @@ class Workbench:
         self._trace: dict[tuple[int, int], list[np.ndarray]] = {}
         self._subfac: dict[tuple[int, int], tuple[bool, bool]] = {}
         self._gen: dict[Candidate, tuple[int, ...]] = {}
+        self._t3: dict[Candidate, bool] = {}
         self._projectives = [projective_module(self.algebra, v)
                              for v in self.algebra.vertices]
         self._injectives = [injective_module(self.algebra, v)
@@ -133,10 +134,7 @@ class Workbench:
     def ext(self, degree: int, i: int, j: int) -> int:
         key = (degree, i, j)
         if key not in self._ext:
-            self._ext[key] = ext_dim(
-                degree, self.members[i], self.members[j],
-                max_length=max(self.resolution_bound, degree + 1),
-            )
+            self._ext[key] = ext_dim(degree, self.members[i], self.members[j])
         return self._ext[key]
 
     def pd(self, i: int) -> int | None:
@@ -186,6 +184,22 @@ class Workbench:
                 if self.gen_member(candidate, j)
             )
         return self._gen[candidate]
+
+    def t3(self, candidate: Candidate) -> bool:
+        """Condition T3: the coevaluation R -> sum T_i^(d_i) is mono with
+        cokernel in add T.  Memoized, as the cokernel is a new module
+        whose Hom systems no table keeps."""
+        if candidate not in self._t3:
+            delta = _coevaluation(self, candidate)
+            in_add = False
+            if delta.is_mono():
+                try:
+                    dec = decompose(cokernel(delta)[0], self.corpus)
+                    in_add = all(idx in candidate for idx in dec)
+                except RuntimeError:
+                    pass
+            self._t3[candidate] = in_add
+        return self._t3[candidate]
 
     def ext_from_candidate(self, degree: int, candidate: Candidate,
                            j: int) -> int:
@@ -435,17 +449,7 @@ def is_tilting(wb: Workbench, candidate: Candidate,
         pd, self_ext = _pd_and_self_ext1(wb, candidate)
         t1, t2 = pd <= 1, self_ext == 0
     if "T123" in routes:
-        t3 = False
-        if t1 and t2:
-            delta = _coevaluation(wb, candidate)
-            if delta.is_mono():
-                cok = factorize(delta)["cokernel"]
-                try:
-                    dec = decompose(cok, wb.corpus)
-                    t3 = all(idx in candidate for idx in dec)
-                except RuntimeError:
-                    t3 = False
-        verdicts["T123"] = t1 and t2 and t3
+        verdicts["T123"] = t1 and t2 and wb.t3(candidate)
     if "vanishing" in routes:
         t3p = vanishing_t3prime(wb, candidate)
         verdicts["vanishing"] = t1 and t2 and t3p.verdict

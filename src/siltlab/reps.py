@@ -443,23 +443,32 @@ def span_closure(m: Representation, vectors: list[np.ndarray]):
 # kernels, images, cokernels
 
 
+def kernel(f: Morphism):
+    """Kernel of a morphism: (kernel, inclusion into the source)."""
+    p = f.source.algebra.p
+    return sub_representation(
+        f.source, [linalg.kernel(mat, p) for mat in f.vertex_maps])
+
+
+def cokernel(f: Morphism):
+    """Cokernel of a morphism: (cokernel, projection from the target)."""
+    return quotient_representation(f.target, list(f.vertex_maps))
+
+
 def factorize(f: Morphism):
     """Kernel, image and cokernel of a morphism.
 
     Returns a dict with keys kernel, kernel_inclusion, image,
     image_inclusion, image_projection, cokernel, cokernel_projection.
     """
-    alg = f.source.algebra
-    p = alg.p
-    ker_spans = [linalg.kernel(mat, p) for mat in f.vertex_maps]
-    kernel_rep, kernel_incl = sub_representation(f.source, ker_spans)
-    im_spans = [mat for mat in f.vertex_maps]
-    image_rep, image_incl = sub_representation(f.target, im_spans)
+    p = f.source.algebra.p
+    kernel_rep, kernel_incl = kernel(f)
+    image_rep, image_incl = sub_representation(f.target, list(f.vertex_maps))
     # corestriction source -> image: solve incl . g = f vertexwise
-    g_maps = [linalg.solve(image_incl.vertex_maps[i], f.vertex_maps[i], p)
-              for i in range(alg.n_vertices)]
+    g_maps = [linalg.solve(incl, mat, p)
+              for incl, mat in zip(image_incl.vertex_maps, f.vertex_maps)]
     image_proj = Morphism(f.source, image_rep, g_maps)
-    cokernel_rep, cokernel_proj = quotient_representation(f.target, im_spans)
+    cokernel_rep, cokernel_proj = cokernel(f)
     return {
         "kernel": kernel_rep,
         "kernel_inclusion": kernel_incl,
@@ -614,7 +623,9 @@ def _iso_witness_search(m, n, basis):
     The exhaustive search tests only vectors whose first nonzero entry is
     1: scalar multiples of an isomorphism are isomorphisms, so the first
     isomorphism in product order is found all the same.  It runs iff
-    those (p^h - 1)/(p - 1) vectors are at most SEARCH_CAP.
+    those (p^h - 1)/(p - 1) vectors are at most SEARCH_CAP.  Before it
+    samples, it compares h with dim End M, dim End N and dim Hom(N, M),
+    which all equal h when M and N are isomorphic.
     """
     p = m.algebra.p
     h = len(basis)
@@ -623,6 +634,8 @@ def _iso_witness_search(m, n, basis):
     exhaustive = (p ** h - 1) // (p - 1) <= SEARCH_CAP
     if exhaustive:
         vectors = coefficient_vectors(h, p, leading_one=True)
+    elif {hom_dim(m, m), hom_dim(n, n), hom_dim(n, m)} != {h}:
+        return None
     else:
         vectors = coefficient_vectors(h, p, _SAMPLE_COUNT)
     for coeffs in vectors:
@@ -658,6 +671,7 @@ __all__ = [
     "SEARCH_CAP",
     "UndecidableError",
     "coefficient_vectors",
+    "cokernel",
     "combination",
     "composition_factors",
     "direct_sum",
@@ -667,6 +681,7 @@ __all__ = [
     "hom_space",
     "injective_module",
     "is_isomorphic",
+    "kernel",
     "morphism_into_sum",
     "morphism_out_of_sum",
     "projective_module",

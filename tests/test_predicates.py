@@ -274,18 +274,9 @@ def test_gen_eq_pres_builds_no_direct_sum(a3_wb, monkeypatch):
     assert factorizations == []
 
 
-@pytest.mark.parametrize("name", ["a2", "a3", "a4", "nakayama_a3",
-                                  "nakayama_cycle2"])
-def test_dsigma_table_solves_no_hom_system_beyond_ext1(alg_dir, name,
-                                                       monkeypatch):
-    """D_sigma reads Hom(P1, X) and Hom(P0, X) for the P1 -> P0 of the
-    minimal resolution, so once the Ext^1 table is full every Hom system
-    with a nonzero source is already solved."""
-    wb = harness.load_workbench(load_algebra_file(alg_dir / f"{name}.alg"))
-    pairs = [(i, j) for i in range(len(wb.members))
-             for j in range(len(wb.members))]
-    for i, j in pairs:
-        wb.ext(1, i, j)
+def _record_hom_solves(monkeypatch):
+    """Wrap hom_space in every siltlab module that binds it; return the
+    list of (M, N) pairs, M nonzero, whose Hom system it solves anew."""
     original = reps.hom_space
     solved = []
 
@@ -298,7 +289,54 @@ def test_dsigma_table_solves_no_hom_system_beyond_ext1(alg_dir, name,
         if (mod_name.startswith("siltlab.")
                 and vars(sub).get("hom_space") is original):
             monkeypatch.setattr(sub, "hom_space", recording)
+    return solved
+
+
+@pytest.mark.parametrize("name", ["a2", "a3", "a4", "nakayama_a3",
+                                  "nakayama_cycle2"])
+def test_dsigma_table_solves_no_hom_system_beyond_ext1(alg_dir, name,
+                                                       monkeypatch):
+    """D_sigma reads Hom(P1, X) and Hom(P0, X) for the P1 -> P0 of the
+    minimal resolution, so once the Ext^1 table is full every Hom system
+    with a nonzero source is already solved."""
+    wb = harness.load_workbench(load_algebra_file(alg_dir / f"{name}.alg"))
+    pairs = [(i, j) for i in range(len(wb.members))
+             for j in range(len(wb.members))]
+    for i, j in pairs:
+        wb.ext(1, i, j)
+    solved = _record_hom_solves(monkeypatch)
     for i, j in pairs:
         wb.dsig(i, j)
     assert len(wb._dsig) == len(pairs)
     assert solved == []
+
+
+def test_second_classify_sweep_solves_no_hom_system(a3_parsed, monkeypatch):
+    wb = harness.load_workbench(a3_parsed)
+    first = harness.classify(wb)
+    solved = _record_hom_solves(monkeypatch)
+    assert harness.classify(wb) == first
+    assert solved == []
+
+
+def test_ext_resolves_only_the_terms_it_reads(alg_dir):
+    """Ext^d reads terms 0..d+1 of the minimal resolution; pd still
+    resolves to the bound, and the Ext values do not depend on the depth
+    a resolution was first built to (nakayama_cycle2 has infinite global
+    dimension, so no resolution of a non-projective member terminates)."""
+    path = alg_dir / "nakayama_cycle2.alg"
+    cold = harness.load_workbench(load_algebra_file(path))
+    n = len(cold.members)
+    pairs = [(i, j) for i in range(n) for j in range(n)]
+    values = {}
+    for d in range(1, 4):
+        for i, j in pairs:
+            values[d, i, j] = cold.ext(d, i, j)
+        for m in cold.members:
+            assert len(m._cache["resolution"].terms) <= d + 2
+    pds = [cold.pd(i) for i in range(n)]
+    assert None in pds
+    bounded = harness.load_workbench(load_algebra_file(path))
+    assert [bounded.pd(i) for i in range(n)] == pds
+    assert values == {(d, i, j): bounded.ext(d, i, j)
+                      for d, i, j in values}

@@ -8,7 +8,6 @@ from siltlab.reps import (
     SEARCH_CAP,
     Morphism,
     Representation,
-    UndecidableError,
     coefficient_vectors,
     combination,
     composition_factors,
@@ -361,7 +360,8 @@ def test_iso_witness_is_first_in_product_order():
 
 def test_iso_search_samples_beyond_cap():
     """Over F_257 a Hom basis of dimension 4 is past the cap: the sampled
-    search finds an isomorphism when there is one and refuses otherwise."""
+    search finds an isomorphism when there is one, and a pair whose Hom
+    dimensions differ (dim End is 5 against 3) is told apart without it."""
     alg = zoo.a2(257).build()
     s1 = simple_module(alg, "1")
     s2 = simple_module(alg, "2")
@@ -373,8 +373,8 @@ def test_iso_search_samples_beyond_cap():
     m = direct_sum(alg, [s1, s1, s2])
     n = direct_sum(alg, [s1, p2])
     assert m.dims == n.dims and (257 ** hom_dim(m, n) - 1) // 256 > SEARCH_CAP
-    with pytest.raises(UndecidableError):
-        is_isomorphic(m, n)
+    assert (hom_dim(m, m), hom_dim(n, n)) == (5, 3)
+    assert is_isomorphic(m, n, with_witness=True) == (False, None)
 
 
 def _assert_blocks(f, parts, axis):
