@@ -54,7 +54,6 @@ class ParsedAlgebra:
     relations: RelationSet
     p: int
     family: str = "generic"
-    relation_texts: tuple[str, ...] = ()
 
     def build(self) -> Algebra:
         return Algebra(self.quiver, self.relations, self.p)
@@ -197,8 +196,6 @@ def parse_algebra_file(text: str) -> ParsedAlgebra:
         relations=RelationSet(relations, nilpotency),
         p=p,
         family=family or "generic",
-        relation_texts=tuple(_canonical_relation(quiver, rel)
-                             for rel in relations),
     )
 
 

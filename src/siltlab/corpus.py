@@ -10,23 +10,18 @@ deduplicates up to isomorphism.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
 from . import linalg
 from .pathalg import Algebra
 from .reps import (
-    SEARCH_CAP,
-    Morphism,
     Representation,
-    UndecidableError,
-    coefficient_vectors,
-    combination,
     hom_dim,
-    hom_space,
     injective_module,
+    is_indecomposable,
     is_isomorphic,
     projective_module,
     quotient_representation,
@@ -51,66 +46,6 @@ class Corpus:
             return self.names.index(name)
         except ValueError:
             raise KeyError(f"unknown corpus member {name!r}") from None
-
-
-# ---------------------------------------------------------------------------
-# indecomposability
-
-
-def _is_idempotent(f: Morphism) -> bool:
-    return all(
-        np.array_equal(linalg.matmul(m, m, f.source.algebra.p), m)
-        for m in f.vertex_maps
-    )
-
-
-def _fitting_splits(f: Morphism) -> bool:
-    """Does the stable kernel/image decomposition along f split M?"""
-    m = f.source
-    p = m.algebra.p
-    power = f
-    for _ in range(m.total_dim):
-        power = power.compose(f)
-    ker_rank = sum(
-        mat.shape[1] - linalg.rank(mat, p) for mat in power.vertex_maps
-    )
-    im_rank = sum(linalg.rank(mat, p) for mat in power.vertex_maps)
-    return ker_rank > 0 and im_rank > 0
-
-
-def is_indecomposable(m: Representation) -> bool:
-    """True iff End(M) has no idempotent besides 0 and 1."""
-    if m.is_zero():
-        return False
-    basis = hom_space(m, m)
-    e = len(basis)
-    if e == 1:
-        return True  # End = k . id is local
-    p = m.algebra.p
-    if p**e <= SEARCH_CAP:
-        ident = [linalg.identity(d) for d in m.dims]
-        for coeffs in coefficient_vectors(e, p):
-            f = combination(basis, coeffs)
-            if not _is_idempotent(f):
-                continue
-            if all(np.array_equal(a, b)
-                   for a, b in zip(f.vertex_maps, ident)):
-                continue
-            return False
-        return True
-    # fall back to Fitting decompositions along basis endomorphisms, then
-    # seeded random combinations, built one at a time up to the first split
-    candidates = itertools.chain(
-        basis,
-        (combination(basis, coeffs)
-         for coeffs in coefficient_vectors(e, p, draws=200)))
-    for f in candidates:
-        if _fitting_splits(f):
-            return False
-    raise UndecidableError(
-        "endomorphism algebra too large for exhaustive idempotent search "
-        "and no splitting was found; refusing to guess"
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -175,7 +110,8 @@ def _interval_modules(algebra: Algebra) -> list[Representation]:
 
 
 def _nakayama_members(algebra: Algebra) -> list[Representation]:
-    """Uniserial quotients P(v)/rad^k P(v), deduplicated."""
+    """Uniserial quotients P(v)/rad^k P(v), pairwise non-isomorphic: their
+    tops or their lengths differ."""
     out: list[Representation] = []
     for v in algebra.vertices:
         pv = projective_module(algebra, v)
@@ -185,8 +121,7 @@ def _nakayama_members(algebra: Algebra) -> list[Representation]:
             spans = radical_of_spans(pv, spans)  # J^k . P(v)
             quot, _ = quotient_representation(pv, spans)
             quot.name = f"{v}|{k}"
-            if not any(is_isomorphic(quot, m) for m in out):
-                out.append(quot)
+            out.append(quot)
     return out
 
 
@@ -363,29 +298,18 @@ def decompose(m: Representation, corpus: Corpus) -> dict[int, int]:
         return {}
     members = corpus.members
     n = len(members)
-    h = [[Fraction(hom_dim(members[i], members[j])) for j in range(n)]
-         for i in range(n)]
-    b = [Fraction(hom_dim(m, members[j])) for j in range(n)]
-    coeffs = _solve_rational([list(col) for col in zip(*h)], b)
-    if coeffs is None:
-        raise RuntimeError(
-            "no corpus decomposition found; the corpus is incomplete for "
-            f"{m!r}"
-        )
-    result: dict[int, int] = {}
-    for i, c in enumerate(coeffs):
-        if c.denominator != 1 or c < 0:
-            raise RuntimeError(
-                "no corpus decomposition found; the corpus is incomplete "
-                f"for {m!r}"
-            )
-        if c:
-            result[i] = int(c)
-    check_dims = [
-        sum(cnt * members[i].dims[vi] for i, cnt in result.items())
-        for vi in range(len(m.dims))
-    ]
-    if tuple(check_dims) != m.dims:
+    h = np.array([[hom_dim(members[i], members[j]) for i in range(n)]
+                  for j in range(n)], dtype=np.int64).reshape(n, n)
+    b = np.array([hom_dim(m, members[j]) for j in range(n)], dtype=np.int64)
+    # h is nonsingular over Q, so an x that solves the system over the
+    # integers is its unique rational solution; and a multiplicity is at
+    # most dim M, below q, so a decomposition is never missed mod q.
+    x = linalg.solve(h, b, _nonsingular_prime(h))[:, 0]
+    result = {i: int(c) for i, c in enumerate(x) if c}
+    dims = tuple(sum(c * members[i].dims[v] for i, c in result.items())
+                 for v in range(len(m.dims)))
+    if ((x > m.total_dim).any() or not np.array_equal(h @ x, b)
+            or dims != m.dims):
         raise RuntimeError(
             "no corpus decomposition found; the corpus is incomplete for "
             f"{m!r}"
@@ -393,36 +317,20 @@ def decompose(m: Representation, corpus: Corpus) -> dict[int, int]:
     return result
 
 
-def _solve_rational(matrix: list[list[Fraction]],
-                    rhs: list[Fraction]) -> list[Fraction] | None:
-    """Exact Gaussian elimination; None when inconsistent.  The system is
-    square with independent columns here, so a consistent system has a
-    unique solution."""
-    n = len(matrix)
-    aug = [row[:] + [rhs[i]] for i, row in enumerate(matrix)]
-    cols = len(matrix[0]) if matrix else 0
-    pivots = []
-    r = 0
-    for c in range(cols):
-        pivot = next((i for i in range(r, n) if aug[i][c]), None)
-        if pivot is None:
-            continue
-        aug[r], aug[pivot] = aug[pivot], aug[r]
-        inv = 1 / aug[r][c]
-        aug[r] = [x * inv for x in aug[r]]
-        for i in range(n):
-            if i != r and aug[i][c]:
-                factor = aug[i][c]
-                aug[i] = [x - factor * y for x, y in zip(aug[i], aug[r])]
-        pivots.append(c)
-        r += 1
-    for i in range(r, n):
-        if aug[i][cols]:
-            return None
-    solution = [Fraction(0)] * cols
-    for row, c in enumerate(pivots):
-        solution[c] = aug[row][cols]
-    return solution
+def _nonsingular_prime(h: np.ndarray) -> int:
+    """The largest prime q <= linalg.MAX_PRIME with h nonsingular mod q.
+
+    Every prime passed over divides det h, so once their product exceeds
+    Hadamard's bound on |det h|, h is singular and decides nothing.
+    """
+    bound = math.prod(math.isqrt(int(row @ row)) + 1 for row in h)
+    q, passed = linalg.MAX_PRIME, 1
+    while linalg.rank(h, q) < len(h):
+        passed *= q
+        if passed > bound:
+            raise RuntimeError("the corpus Hom-dimension matrix is singular")
+        q = next(r for r in range(q - 1, 1, -1) if linalg.is_prime(r))
+    return q
 
 
 __all__ = [

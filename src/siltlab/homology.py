@@ -88,7 +88,9 @@ class Resolution:
     terms: list[Representation]
     differentials: list[Morphism]  # differentials[i]: terms[i+1] -> terms[i]
     augmentation: Morphism  # terms[0] -> resolved
-    status: str  # "terminated" | "bound-exceeded"
+    # "terminated", "truncated" (stopped early) or "bound-exceeded"
+    # (projective_dimension resolved to its bound without terminating)
+    status: str
     length: int  # index of last nonzero term when terminated
     frontier: tuple[Representation, Morphism | None] | None = None
 
@@ -121,7 +123,7 @@ def minimal_resolution(m: Representation, max_length: int) -> Resolution:
     if res is None:
         res = Resolution(
             resolved=m, terms=[], differentials=[], augmentation=None,
-            status="bound-exceeded", length=0, frontier=(m, None),
+            status="truncated", length=0, frontier=(m, None),
         )
         m._cache["resolution"] = res
     while res.status != "terminated" and len(res.terms) <= max_length:
@@ -153,6 +155,7 @@ def projective_dimension(m: Representation,
     res = minimal_resolution(m, max_length)
     if res.status == "terminated":
         return res.length
+    res.status = "bound-exceeded"
     return None
 
 

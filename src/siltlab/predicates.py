@@ -461,16 +461,14 @@ def is_tilting(wb: Workbench, candidate: Candidate,
                    "|".join(routes), witness or None)
 
 
-def is_self_orthogonal(wb: Workbench, candidate: Candidate,
-                       pd_bound: int | None = None) -> PredicateReport:
+def is_self_orthogonal(wb: Workbench, candidate: Candidate) -> PredicateReport:
     pd = wb.candidate_pd(candidate)
     if pd is None:
-        if pd_bound is None:
-            raise BoundExceededError(
-                f"pd of {wb.candidate_name(candidate)} undecided and no "
-                "override bound supplied"
-            )
-        pd = pd_bound
+        # the message is part of the classify and verify-theorems reports
+        raise BoundExceededError(
+            f"pd of {wb.candidate_name(candidate)} undecided and no "
+            "override bound supplied"
+        )
     witness = None
     verdict = True
     for degree in range(1, pd + 1):

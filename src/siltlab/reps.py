@@ -578,12 +578,91 @@ def composition_factors(m: Representation) -> dict[str, int]:
 
 
 # ---------------------------------------------------------------------------
+# indecomposability
+
+
+def _power(maps: list[np.ndarray], k: int, q: int) -> list[np.ndarray]:
+    """The vertex matrices to the power k >= 1 mod q, by square and
+    multiply over the bits of k."""
+    result = maps
+    for bit in bin(k)[3:]:
+        result = [linalg.matmul(a, a, q) for a in result]
+        if bit == "1":
+            result = [linalg.matmul(a, b, q) for a, b in zip(result, maps)]
+    return result
+
+
+def _radical(basis: list[Morphism], n: int, p: int) -> list[Morphism]:
+    """A basis of rad End M, for a basis of End M and n = dim M.
+
+    Cohen, Ivanyos and Wales (JPAA 117-118, 1997): starting from End M,
+    step i keeps the a in the current ideal with g_i(ab) = 0 for every
+    basis map b, where g_i(x) = Tr(x^(p^i)) / p^i mod p, the power taken
+    on integer lifts mod p^(i+1); g_i is linear on the previous ideal.
+    The steps run while p^i <= n, so for p > n only the trace form
+    Tr(ab) is read (Dickson).
+    """
+    ideal = basis
+    scale = 1  # p^i
+    while scale <= n and ideal:
+        q = p * scale
+        gram = [[sum(int(np.trace(x)) for x in
+                     _power(a.compose(b).vertex_maps, scale, q)) % q // scale
+                 for a in ideal] for b in basis]
+        coeffs = linalg.kernel(gram, p)
+        ideal = [combination(ideal, coeffs[:, k])
+                 for k in range(coeffs.shape[1])]
+        scale *= p
+    return ideal
+
+
+def is_indecomposable(m: Representation) -> bool:
+    """True iff End M is local, decided exactly.
+
+    A basis endomorphism that is neither nilpotent nor invertible splits M
+    along its Fitting decomposition.  Otherwise End M is local iff
+    End/rad is a field: commutative, with a one-dimensional subspace
+    fixed by x -> x^p (Berlekamp), as a finite division ring is a field.
+    """
+    if m.is_zero():
+        return False
+    cached = m._cache.get("indecomposable")
+    if cached is not None:
+        return cached
+    basis = hom_space(m, m)
+    p = m.algebra.p
+    n = m.total_dim
+    exponent = 1 << (n - 1).bit_length()  # squarings up to dim M
+    if len(basis) == 1:
+        result = True  # End = k . id
+    elif any(0 < sum(linalg.rank(x, p)
+                     for x in _power(f.vertex_maps, exponent, p)) < n
+             for f in reversed(basis)):
+        result = False
+    else:
+        rad = [f.flatten() for f in _radical(basis, n, p)]
+
+        def rank_over_rad(vectors):
+            return linalg.rank(np.stack(rad + vectors, axis=1), p)
+
+        commutators = [(a.compose(b).flatten() - b.compose(a).flatten()) % p
+                       for a, b in itertools.combinations(basis, 2)]
+        frobenius = [(Morphism(m, m, _power(f.vertex_maps, p, p)).flatten()
+                      - f.flatten()) % p for f in basis]
+        result = (rank_over_rad(commutators) == len(rad)
+                  and len(basis) - rank_over_rad(frobenius) == 1)
+    m._cache["indecomposable"] = result
+    return result
+
+
+# ---------------------------------------------------------------------------
 # isomorphism testing
 
 
 # A search over combinations of a Hom basis is exhaustive iff the vectors
-# it tests number at most this (p**h for h basis maps, or (p**h - 1)/(p - 1)
-# for the isomorphism search); beyond it, searches sample or refuse.
+# it tests number at most this: (p**h - 1)/(p - 1) for h basis maps in the
+# isomorphism search of a decomposable module, p**(d*r) coefficients in
+# the Pres fallback of modclasses.  Beyond it, searches sample or refuse.
 SEARCH_CAP = 1 << 16
 _SAMPLE_COUNT = 20000
 
@@ -659,7 +738,13 @@ def is_isomorphic(m: Representation, n: Representation,
     if m.total_dim == 0:
         return (True, zero_morphism(m, n)) if with_witness else True
     basis = hom_space(m, n)
-    witness = _iso_witness_search(m, n, basis)
+    if is_indecomposable(m):
+        # End M is local: given an isomorphism g: N -> M, f is one iff g.f
+        # lies outside rad End M, so the non-isomorphisms form a proper
+        # subspace of Hom(M, N), which no basis lies in
+        witness = next((f for f in reversed(basis) if f.is_iso()), None)
+    else:
+        witness = _iso_witness_search(m, n, basis)
     found = witness is not None
     return (found, witness) if with_witness else found
 
@@ -680,6 +765,7 @@ __all__ = [
     "hom_from_projective",
     "hom_space",
     "injective_module",
+    "is_indecomposable",
     "is_isomorphic",
     "kernel",
     "morphism_into_sum",

@@ -1,8 +1,9 @@
 import itertools
 
+import numpy as np
 import pytest
 
-from siltlab import corpus, zoo
+from siltlab import reps, zoo
 from siltlab.algfile import load_algebra_file, parse_algebra_file
 from siltlab.corpus import (
     _all_representations,
@@ -13,13 +14,10 @@ from siltlab.corpus import (
     enumerate_indecomposables,
     is_indecomposable,
 )
-from siltlab.harness import load_workbench
+from siltlab.harness import load_workbench, verify_theorems
 from siltlab.reps import (
     SEARCH_CAP,
     Morphism,
-    UndecidableError,
-    coefficient_vectors,
-    combination,
     direct_sum,
     hom_dim,
     hom_space,
@@ -74,22 +72,17 @@ def test_indecomposability(a2_algebra):
     assert not is_indecomposable(summed)
 
 
-def test_fitting_fallback_finds_split(a2_algebra, monkeypatch):
-    """End(S1^5) has dimension 25, past the exhaustive cap over F2; the
-    Fitting fallback splits it along a basis endomorphism, before it
-    builds any random combination of the basis."""
-    calls = []
+def test_basis_map_splits_large_end(a2_algebra, monkeypatch):
+    """End(S1^5) has dimension 25; a basis endomorphism already splits
+    S1^5 along its Fitting decomposition, so no radical is computed."""
+    def unreachable(*args):
+        raise AssertionError("the radical of End was computed")
 
-    def counted(basis, coeffs):
-        calls.append(coeffs)
-        return combination(basis, coeffs)
-
-    monkeypatch.setattr(corpus, "combination", counted)
+    monkeypatch.setattr(reps, "_radical", unreachable)
     s1 = simple_module(a2_algebra, "1")
     m = direct_sum(a2_algebra, [s1], [5])
-    assert 2 ** hom_dim(m, m) > SEARCH_CAP
+    assert hom_dim(m, m) == 25
     assert not is_indecomposable(m)
-    assert calls == []
 
 
 LOCAL_LOOP_F257 = """field 257
@@ -101,30 +94,80 @@ nilpotency 3
 """
 
 
-def test_fitting_fallback_raises_without_split(monkeypatch):
-    """P1 = k[x]/(x^3) over F257 is local with a 3-dimensional End: past
-    the cap, and no Fitting decomposition splits it, so the search
-    refuses."""
+def test_local_end_over_large_field_is_decided():
+    """P1 = k[x]/(x^3) over F257 is local with a 3-dimensional End: every
+    basis map is nilpotent or invertible, so no Fitting decomposition
+    splits it, and the radical (x, x^2) decides it indecomposable."""
     alg = parse_algebra_file(LOCAL_LOOP_F257).build()
     p1 = projective_module(alg, "1")
-    assert 257 ** hom_dim(p1, p1) > SEARCH_CAP
-    tested = []
-    splits = corpus._fitting_splits
-
-    def recorded(f):
-        tested.append(tuple(m.tobytes() for m in f.vertex_maps))
-        return splits(f)
-
-    monkeypatch.setattr(corpus, "_fitting_splits", recorded)
-    with pytest.raises(UndecidableError):
-        is_indecomposable(p1)
-    # every basis map, then every seeded draw, in that order
     basis = hom_space(p1, p1)
-    expected = basis + [combination(basis, c)
-                        for c in coefficient_vectors(len(basis), 257,
-                                                     draws=200)]
-    assert tested == [tuple(m.tobytes() for m in f.vertex_maps)
-                      for f in expected]
+    assert len(basis) == 3
+    for f in basis:
+        power = f.compose(f).compose(f)
+        assert power.is_zero() or power.is_iso()
+    assert len(reps._radical(basis, 3, 257)) == 2
+    assert is_indecomposable(p1)
+    assert not is_indecomposable(direct_sum(alg, [p1, p1]))
+
+
+def _has_nontrivial_idempotent(m):
+    """Reference: test every combination of the End basis for e^2 = e,
+    e not 0 or 1, with Python-int matrix products."""
+    p = m.algebra.p
+    basis = [[mat.tolist() for mat in f.vertex_maps]
+             for f in hom_space(m, m)]
+    for coeffs in itertools.product(range(p), repeat=len(basis)):
+        maps = [[[sum(c * f[v][i][j] for c, f in zip(coeffs, basis)) % p
+                  for j in range(d)] for i in range(d)]
+                for v, d in enumerate(m.dims)]
+        square = [[[sum(e[i][k] * e[k][j] for k in range(len(e))) % p
+                    for j in range(len(e))] for i in range(len(e))]
+                  for e in maps]
+        identity = [[[int(i == j) for j in range(len(e))]
+                     for i in range(len(e))] for e in maps]
+        if square == maps and any(coeffs) and maps != identity:
+            return True
+    return False
+
+
+KRONECKER_F3 = """field 3
+vertices 1 2
+arrow a: 1 -> 2
+arrow b: 1 -> 2
+"""
+
+LOCAL_LOOP_F3 = LOCAL_LOOP_F257.replace("257", "3")
+
+
+# Sizes: every representation up to the dimension bound whose End has at
+# most 2^12 elements, so the reference search stays small.  The Kronecker
+# quiver has modules with End/rad = F_p^2 (a degree-2 irreducible
+# polynomial), and k[x]/(x^3) has local Ends with a nonzero radical.
+@pytest.mark.parametrize("name, dim_bound", [
+    ("a3", 5),
+    ("nakayama_cycle2", 5),
+    ("kronecker_f2", 4),
+    ("kronecker_f3", 4),
+    ("local_loop_f3", 3),
+])
+def test_indecomposable_matches_idempotent_search(alg_dir, name, dim_bound):
+    built = {
+        "kronecker_f2": lambda: parse_algebra_file(
+            KRONECKER_F3.replace("field 3", "field 2")),
+        "kronecker_f3": lambda: parse_algebra_file(KRONECKER_F3),
+        "local_loop_f3": lambda: parse_algebra_file(LOCAL_LOOP_F3),
+    }
+    parsed = (built[name]() if name in built
+              else load_algebra_file(alg_dir / f"{name}.alg"))
+    alg = parsed.build()
+    checked = 0
+    for rep in _all_representations(alg, dim_bound):
+        if alg.p ** hom_dim(rep, rep) > 1 << 12:
+            continue
+        assert is_indecomposable(rep) == (
+            not _has_nontrivial_idempotent(rep)), rep.arrow_maps
+        checked += 1
+    assert checked > 50
 
 
 def _reference_representations(algebra, dim_bound):
@@ -242,19 +285,32 @@ def test_iso_search_exhausts_leading_one_vectors_under_cap():
     """P1 and P2 of the length-4 2-cycle Nakayama algebra over F257 have
     the same dimension vector and dim Hom(P2, P1) = 2: 257^2 vectors are
     past the cap, but the 258 with leading coefficient 1 are not, so the
-    search is exhaustive and answers False.  The classified members and
-    their names are those of the full product-order search."""
+    search is exhaustive and finds no isomorphism.  P2 is indecomposable,
+    so is_isomorphic decides the pair from the two basis maps alone.  The
+    classified members and their names are those of the full product-order
+    search."""
     alg = parse_algebra_file(CYCLE2_LENGTH4_F257).build()
     p1 = projective_module(alg, "1")
     p2 = projective_module(alg, "2")
     assert p1.dims == p2.dims and hom_dim(p2, p1) == 2
     assert 257 ** 2 > SEARCH_CAP >= 258
-    assert not is_isomorphic(p2, p1)
+    assert reps._iso_witness_search(p2, p1, hom_space(p2, p1)) is None
+    assert is_indecomposable(p2) and not is_isomorphic(p2, p1)
     members = _sorted_members(_nakayama_members(alg))
     assert [m.dims for m in members] == [
         (0, 1), (1, 0), (1, 1), (1, 1), (1, 2), (2, 1), (2, 2), (2, 2)]
     assert _assign_names(alg, members) == [
         "S2", "S1", "2|2", "1|2", "2|3", "1|3", "P2", "P1"]
+
+
+def test_cycle2_length4_f257_loads_and_verifies():
+    """End(P1) = k[c]/(c^2) is local and has 257^2 - 1 nonzero elements,
+    past the cap of an idempotent search; its radical decides P1
+    indecomposable, so the classified corpus loads and the theorem sweep
+    passes."""
+    wb = load_workbench(parse_algebra_file(CYCLE2_LENGTH4_F257))
+    assert wb.names == ["S2", "S1", "2|2", "1|2", "2|3", "1|3", "P2", "P1"]
+    assert verify_theorems(wb)[-1]["failed_total"] == 0
 
 
 def test_large_prime_load_makes_few_iso_tests(monkeypatch):
@@ -283,6 +339,17 @@ def test_decompose_identifies_summands(a3_wb):
     assert decompose(summed, wb.corpus) == mults
 
 
+@pytest.mark.parametrize("wb_name", ["a3_wb", "nak3_wb", "cyc2_wb"])
+def test_decompose_round_trips_random_sums(request, wb_name):
+    wb = request.getfixturevalue(wb_name)
+    rng = np.random.default_rng(7)
+    for _ in range(20):
+        counts = [int(c) for c in rng.integers(0, 3, size=len(wb.members))]
+        summed = direct_sum(wb.algebra, wb.members, counts)
+        assert decompose(summed, wb.corpus) == {
+            i: c for i, c in enumerate(counts) if c}
+
+
 def test_decompose_regular(nak3_wb):
     wb = nak3_wb
     from siltlab.reps import regular_module
@@ -297,8 +364,6 @@ def test_decompose_regular(nak3_wb):
 
 
 def test_decompose_incomplete_corpus_raises(a3_wb):
-    import numpy as np
-
     from siltlab.corpus import Corpus
 
     wb = a3_wb
@@ -308,6 +373,18 @@ def test_decompose_incomplete_corpus_raises(a3_wb):
     if big.dims != wb.members[0].dims:
         with pytest.raises(RuntimeError):
             decompose(big, truncated)
+
+
+def test_decompose_singular_corpus_raises(a2_algebra):
+    """A corpus listing S1 twice has a singular Hom-dimension matrix,
+    which fixes no multiplicities: every prime is passed over until their
+    product exceeds Hadamard's bound, and decompose refuses."""
+    from siltlab.corpus import Corpus
+
+    s1 = simple_module(a2_algebra, "1")
+    twice = Corpus(a2_algebra, [s1, s1], ["S1", "S1'"], "duplicated-for-test")
+    with pytest.raises(RuntimeError, match="singular"):
+        decompose(direct_sum(a2_algebra, [s1]), twice)
 
 
 def test_standard_names_preferred(nak3_wb):

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from siltlab import linalg
+from siltlab import linalg, zoo
 from siltlab.homology import (
     BoundExceededError,
     default_resolution_bound,
@@ -54,6 +54,12 @@ def test_pd_examples(a2_algebra, a3_algebra, nak3_algebra):
 
 
 def test_pd_undecided_on_cycle(cyc2_algebra):
+    # Ext^1 builds terms 0..2 only: the resolution is truncated, not past
+    # a bound
+    cold = simple_module(zoo.cyclic_nakayama_2().build(), "1")
+    ext_dim(1, cold, cold)
+    res = minimal_resolution(cold, 0)  # the cached one, not extended
+    assert len(res.terms) == 3 and res.status == "truncated"
     s1 = simple_module(cyc2_algebra, "1")
     assert projective_dimension(s1) is None
     res = minimal_resolution(s1, default_resolution_bound(cyc2_algebra))
