@@ -20,14 +20,14 @@ from .pathalg import Algebra
 from .reps import (
     Representation,
     hom_dim,
-    injective_module,
     is_indecomposable,
     is_isomorphic,
     projective_module,
     quotient_representation,
     radical_of_spans,
+    radical_spans,
     relations_acting,
-    simple_module,
+    socle_spans,
 )
 
 
@@ -192,28 +192,64 @@ def _canonical_key(m: Representation) -> tuple:
             tuple(mat.tobytes() for mat in m.arrow_maps))
 
 
+def _splits_off_simple(m: Representation) -> bool:
+    """Certificate, with no Hom system, that M is decomposable: dim M >= 2
+    and, at some vertex v, a vector x of soc M (killed by every arrow out
+    of v) lies outside rad M (the images of the arrows into v; a loop
+    counts as both).  A hyperplane of M_v that contains rad M at v but
+    not x, with M at every other vertex, is a submodule H, <x> is a copy
+    of S(v), and M = H + S(v)."""
+    if m.total_dim < 2:
+        return False
+    q = m.algebra.quiver
+    p = m.algebra.p
+    for v, d, socle in zip(q.vertices, m.dims, socle_spans(m)):
+        if not socle.shape[1]:
+            continue
+        radical = np.hstack([linalg.zeros(d, 0), *(
+            mat for mat, a in zip(m.arrow_maps, q.arrows) if a.target == v)])
+        if (linalg.rank(np.hstack([radical, socle]), p)
+                > linalg.rank(radical, p)):
+            return True
+    return False
+
+
 # ---------------------------------------------------------------------------
 # naming and assembly
 
 
 def _assign_names(algebra: Algebra, members: list[Representation]) -> list[str]:
-    standards: list[tuple[str, Representation]] = []
-    for v in algebra.vertices:
-        standards.append((f"S{v}", simple_module(algebra, v)))
-    for v in algebra.vertices:
-        standards.append((f"P{v}", projective_module(algebra, v)))
-    for v in algebra.vertices:
-        standards.append((f"I{v}", injective_module(algebra, v)))
+    """Standard names, decided with no Hom system: M is S(v) iff
+    dim M = e_v; P(v) iff top M = S(v) and dim M = dim P(v), as the
+    projective cover P(v) -> M is then onto and so an isomorphism; I(v)
+    iff soc M = S(v) and dim M = dim I(v), dually.  Labels are tried in
+    S, P, I order, each used at most once."""
+    q = algebra.quiver
+
+    def count(vertices):
+        return tuple(vertices.count(u) for u in q.vertices)
+
+    def top(m):
+        return tuple(d - r.shape[1] for d, r in zip(m.dims, radical_spans(m)))
+
+    def socle(m):
+        return tuple(s.shape[1] for s in socle_spans(m))
+
+    # (label, dimension vector, the layer that must be S(v), dim S(v))
+    standards = [(f"S{v}", count([v]), top, count([v])) for v in q.vertices]
+    standards += [(f"P{v}", count([path.end_in(q) for _, path
+                                   in algebra.paths_from(v)]), top, count([v]))
+                  for v in q.vertices]
+    standards += [(f"I{v}", count([path.start for _, path
+                                   in algebra.paths_into(v)]), socle,
+                   count([v]))
+                  for v in q.vertices]
     names = []
     used: set[str] = set()
     for idx, m in enumerate(members):
-        name = None
-        for label, std in standards:
-            if label in used:
-                continue
-            if m.dims == std.dims and is_isomorphic(m, std):
-                name = label
-                break
+        name = next((label for label, dims, layer, simple in standards
+                     if label not in used and m.dims == dims
+                     and layer(m) == simple), None)
         if name is None:
             name = m.name if m.name and m.name not in used else f"X{idx}"
         used.add(name)
@@ -253,7 +289,7 @@ def enumerate_indecomposables(algebra: Algebra, strategy: str = "classified",
     if strategy == "brute":
         members: list[Representation] = []
         for rep in _all_representations(algebra, dim_bound):
-            if not is_indecomposable(rep):
+            if _splits_off_simple(rep) or not is_indecomposable(rep):
                 continue
             if any(rep.dims == m.dims and is_isomorphic(rep, m)
                    for m in members):

@@ -205,7 +205,7 @@ class Algebra:
         self.basis: tuple[Path, ...] = tuple(basis)
         self.dim = len(basis)
         self.basis_index = {path: i for i, path in enumerate(self.basis)}
-        self._mult: dict[tuple[int, int], np.ndarray] = {}
+        self._products = self._product_table()
         self._check_associativity()
 
     def _check_relations(self):
@@ -274,24 +274,21 @@ class Algebra:
                 out[self.basis_index[cell.paths[pos]]] = nf[pos]
         return out
 
+    def _product_table(self) -> np.ndarray:
+        """Read-only table whose [i, j] entry is the class of
+        basis[i] . basis[j]: traverse basis[j], then basis[i]."""
+        table = np.zeros((self.dim, self.dim, self.dim), dtype=np.int64)
+        for (i, bi), (j, bj) in itertools.product(enumerate(self.basis),
+                                                  repeat=2):
+            if bj.end_in(self.quiver) == bi.start:
+                table[i, j] = self.class_of(
+                    Path(bj.start, bj.arrows + bi.arrows))
+        table.flags.writeable = False
+        return table
+
     def mult(self, i: int, j: int) -> np.ndarray:
-        """Class of basis[i] . basis[j]: traverse basis[j], then basis[i]."""
-        key = (i, j)
-        cached = self._mult.get(key)
-        if cached is not None:
-            return cached
-        bi, bj = self.basis[i], self.basis[j]
-        out = np.zeros(self.dim, dtype=np.int64)
-        if bj.end_in(self.quiver) == bi.start:
-            total = bj.length() + bi.length()
-            if total <= self.relations.nilpotency_bound - 1:
-                out = self.class_of(Path(bj.start, bj.arrows + bi.arrows))
-            elif total == self.relations.nilpotency_bound:
-                # class is zero by admissibility; keep the zero vector
-                pass
-            # longer products vanish outright (J^m = 0)
-        self._mult[key] = out
-        return out
+        """Class of basis[i] . basis[j] (read-only)."""
+        return self._products[i, j]
 
     def _check_associativity(self):
         if self.dim > 12:

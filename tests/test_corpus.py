@@ -10,6 +10,7 @@ from siltlab.corpus import (
     _assign_names,
     _nakayama_members,
     _sorted_members,
+    _splits_off_simple,
     decompose,
     enumerate_indecomposables,
     is_indecomposable,
@@ -151,15 +152,7 @@ LOCAL_LOOP_F3 = LOCAL_LOOP_F257.replace("257", "3")
     ("local_loop_f3", 3),
 ])
 def test_indecomposable_matches_idempotent_search(alg_dir, name, dim_bound):
-    built = {
-        "kronecker_f2": lambda: parse_algebra_file(
-            KRONECKER_F3.replace("field 3", "field 2")),
-        "kronecker_f3": lambda: parse_algebra_file(KRONECKER_F3),
-        "local_loop_f3": lambda: parse_algebra_file(LOCAL_LOOP_F3),
-    }
-    parsed = (built[name]() if name in built
-              else load_algebra_file(alg_dir / f"{name}.alg"))
-    alg = parsed.build()
+    alg = _parsed(alg_dir, name).build()
     checked = 0
     for rep in _all_representations(alg, dim_bound):
         if alg.p ** hom_dim(rep, rep) > 1 << 12:
@@ -243,7 +236,17 @@ _BUILT = {
     "cycle2_length3_f2": lambda: parse_algebra_file(CYCLE2_LENGTH3_F2),
     "signed_square_f5": lambda: parse_algebra_file(SIGNED_SQUARE_F5),
     "a2_f65521": lambda: zoo.a2(65521),
+    "kronecker_f2": lambda: parse_algebra_file(
+        KRONECKER_F3.replace("field 3", "field 2")),
+    "kronecker_f3": lambda: parse_algebra_file(KRONECKER_F3),
+    "local_loop_f3": lambda: parse_algebra_file(LOCAL_LOOP_F3),
 }
+
+
+def _parsed(alg_dir, name):
+    if name in _SHIPPED:
+        return load_algebra_file(alg_dir / f"{name}.alg")
+    return _BUILT[name]()
 
 
 # The shipped algebras over F2 fill at most one block per dimension
@@ -260,11 +263,7 @@ _BUILT = {
     ("a2_f65521", 2),
 ])
 def test_enumerator_matches_python_int_reference(alg_dir, name, dim_bound):
-    if name in _SHIPPED:
-        parsed = load_algebra_file(alg_dir / f"{name}.alg")
-    else:
-        parsed = _BUILT[name]()
-    alg = parsed.build()
+    alg = _parsed(alg_dir, name).build()
     got = [(rep.dims, [mat.tolist() for mat in rep.arrow_maps])
            for rep in _all_representations(alg, dim_bound)]
     assert got == _reference_representations(alg, dim_bound)
@@ -311,6 +310,112 @@ def test_cycle2_length4_f257_loads_and_verifies():
     wb = load_workbench(parse_algebra_file(CYCLE2_LENGTH4_F257))
     assert wb.names == ["S2", "S1", "2|2", "1|2", "2|3", "1|3", "P2", "P1"]
     assert verify_theorems(wb)[-1]["failed_total"] == 0
+
+
+# Decomposable tuples the certificate rejects, and all decomposable
+# relation-satisfying tuples, of the shipped algebras at dimension <= 5
+_CERTIFIED = {
+    "a3": (648, 699),
+    "a4": (1307, 1410),
+    "nakayama_a3": (549, 564),
+    "nakayama_cycle2": (514, 535),
+}
+
+
+@pytest.mark.parametrize("name, dim_bound", [
+    *[(name, 5) for name in _CERTIFIED],
+    ("kronecker_f2", 4),
+    ("kronecker_f3", 3),
+    ("local_loop_f3", 3),
+    ("cycle2_length3_f2", 4),
+    ("signed_square_f5", 3),
+])
+def test_simple_summand_certificate_is_exact(alg_dir, name, dim_bound):
+    """Every tuple the brute enumeration drops before solving End M is
+    decomposable by the exact test."""
+    alg = _parsed(alg_dir, name).build()
+    rejected = decomposable = 0
+    for rep in _all_representations(alg, dim_bound):
+        certified = _splits_off_simple(rep)
+        indecomposable = is_indecomposable(rep)
+        assert not (certified and indecomposable), rep.arrow_maps
+        rejected += certified
+        decomposable += not indecomposable
+    assert rejected > 0
+    if name in _CERTIFIED:
+        assert (rejected, decomposable) == _CERTIFIED[name]
+
+
+def test_certificate_needs_the_socle_outside_the_radical(a2_algebra):
+    """P2 of A2 (1 <- 2) has its socle S1 inside its radical, so it is not
+    certified; in S1 + P2 one socle vector at 1 lies outside the radical.
+    A simple module has no complement to split off."""
+    s1 = simple_module(a2_algebra, "1")
+    p2 = projective_module(a2_algebra, "2")
+    assert not _splits_off_simple(p2)
+    assert not _splits_off_simple(s1)
+    assert _splits_off_simple(direct_sum(a2_algebra, [s1, p2]))
+
+
+def _names_by_isomorphism(algebra, members):
+    """Reference for corpus._assign_names: each member takes the first
+    unused label among S(v), P(v), I(v), in that order, whose standard
+    module it is isomorphic to, else its own unused name or X<index>."""
+    standards = [(f"S{v}", simple_module(algebra, v))
+                 for v in algebra.vertices]
+    standards += [(f"P{v}", projective_module(algebra, v))
+                  for v in algebra.vertices]
+    standards += [(f"I{v}", injective_module(algebra, v))
+                  for v in algebra.vertices]
+    names = []
+    used = set()
+    for idx, m in enumerate(members):
+        name = next((label for label, std in standards
+                     if label not in used and m.dims == std.dims
+                     and is_isomorphic(m, std)), None)
+        if name is None:
+            name = m.name if m.name and m.name not in used else f"X{idx}"
+        used.add(name)
+        names.append(name)
+    return names
+
+
+_NAMING_INPUTS = {
+    **{f"{file[:-4]}_f{p}": (lambda file=file, p=p:
+                             zoo.STANDARD_FILES[file](p))
+       for file in zoo.STANDARD_FILES for p in (2, 3)},
+    "cycle2_length4_f257": lambda: parse_algebra_file(CYCLE2_LENGTH4_F257),
+    "local_loop_f3": lambda: parse_algebra_file(LOCAL_LOOP_F3),
+}
+
+
+@pytest.mark.parametrize("name, strategy, dim_bound", [
+    *[(name, "classified", None) for name in _NAMING_INPUTS],
+    *[(f"{file[:-4]}_f2", "brute", 5) for file in zoo.STANDARD_FILES],
+    ("local_loop_f3", "brute", 3),
+])
+def test_names_match_isomorphism_reference(name, strategy, dim_bound):
+    """Names read from dimension vectors, top and socle are those of the
+    isomorphism tests, and naming leaves no Hom space cached against a
+    module outside the corpus."""
+    alg = _NAMING_INPUTS[name]().build()
+    corpus = enumerate_indecomposables(alg, strategy, dim_bound=dim_bound)
+    if strategy == "brute":
+        for m in corpus.members:
+            for key in m._cache:  # the ("hom", n) keys are its tuples
+                if isinstance(key, tuple):
+                    assert any(key[1] is x for x in corpus.members)
+    assert corpus.names == _names_by_isomorphism(alg, corpus.members)
+
+
+def test_simple_projective_and_projective_injective_names(a2_algebra):
+    """In A2 (1 <- 2), S1 = P1 is named S1, as S comes before P, and
+    P2 = I1 is named P2, as P comes before I."""
+    corpus = enumerate_indecomposables(a2_algebra, "classified")
+    named = dict(zip(corpus.names, corpus.members))
+    assert sorted(named) == ["P2", "S1", "S2"]
+    assert is_isomorphic(named["S1"], projective_module(a2_algebra, "1"))
+    assert is_isomorphic(named["P2"], injective_module(a2_algebra, "1"))
 
 
 def test_large_prime_load_makes_few_iso_tests(monkeypatch):

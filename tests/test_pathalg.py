@@ -1,6 +1,11 @@
+import itertools
+
 import numpy as np
 import pytest
+from test_corpus import CYCLE2_LENGTH4_F257
 
+from siltlab import zoo
+from siltlab.algfile import parse_algebra_file
 from siltlab.pathalg import (
     Algebra,
     AlgebraConstructionError,
@@ -43,6 +48,28 @@ def test_mult_convention(a2_algebra):
     # idempotents are orthogonal
     assert not alg.mult(e1, e2).any()
     assert alg.mult(e1, e1)[e1] == 1
+
+
+@pytest.mark.parametrize("build", [
+    *zoo.STANDARD_FILES.values(),
+    lambda: zoo.linear_an(5, 3),
+    lambda: parse_algebra_file(CYCLE2_LENGTH4_F257),
+], ids=[*zoo.STANDARD_FILES, "linear_a5_f3", "cycle2_length4_f257"])
+def test_product_table_is_the_per_pair_normal_form(build):
+    """Entry [i, j] is the class of the path basis[j] then basis[i] when
+    they compose (class_of is zero at and past the nilpotency bound), and
+    zero when they do not.  The table is read-only, so a caller that
+    writes into a product cannot corrupt it."""
+    alg = build().build()
+    for (i, bi), (j, bj) in itertools.product(enumerate(alg.basis),
+                                              repeat=2):
+        if bj.end_in(alg.quiver) == bi.start:
+            expected = alg.class_of(Path(bj.start, bj.arrows + bi.arrows))
+        else:
+            expected = np.zeros(alg.dim, dtype=np.int64)
+        assert np.array_equal(alg.mult(i, j), expected)
+    with pytest.raises(ValueError):
+        alg.mult(0, 0)[0] = 1
 
 
 def test_identity_element(a3_algebra):
