@@ -108,8 +108,12 @@ def cmd_check(args) -> int:
         known = ", ".join(sorted(PREDICATES))
         raise MalformedInputError(
             f"unknown predicate {args.predicate!r}; known: {known}")
+    if args.route and args.predicate != "tilting":
+        raise MalformedInputError(
+            f"--route applies to the tilting predicate only, not to "
+            f"{args.predicate!r}")
     try:
-        if args.predicate == "tilting" and args.route:
+        if args.route:
             report = is_tilting(wb, cand, routes=(args.route,))
         else:
             report = PREDICATES[args.predicate](wb, cand)

@@ -18,7 +18,6 @@ from . import linalg
 from .corpus import Corpus, decompose
 from .homology import ext_dim
 from .reps import (
-    SEARCH_CAP,
     Representation,
     UndecidableError,
     coefficient_vectors,
@@ -62,6 +61,11 @@ def gen_contains(t: Representation, m: Representation) -> bool:
 
 # ---------------------------------------------------------------------------
 # Pres
+
+
+# The Pres fallback tries all p**(d*r) coefficient matrices iff they number
+# at most this; beyond it, it refuses.
+SEARCH_CAP = 1 << 16
 
 
 def _column_space_signatures(d: int, r: int, p: int):
@@ -323,6 +327,7 @@ def subfac_facsub(t: Representation, s: Representation):
 
 __all__ = [
     "MembershipWitness",
+    "SEARCH_CAP",
     "add_contains",
     "gen_contains",
     "left_perp0_of_gen",

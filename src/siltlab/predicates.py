@@ -111,6 +111,9 @@ class Workbench:
     # -- candidates ----------------------------------------------------
 
     def all_candidates(self, max_summands: int | None = None):
+        if max_summands is not None and max_summands < 0:
+            raise linalg.MalformedInputError(
+                f"max_summands must be at least 0, got {max_summands}")
         n = len(self.members)
         limit = n if max_summands is None else min(max_summands, n)
         out = [()]

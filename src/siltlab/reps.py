@@ -582,38 +582,56 @@ def composition_factors(m: Representation) -> dict[str, int]:
 
 
 def _power(maps: list[np.ndarray], k: int, q: int) -> list[np.ndarray]:
-    """The vertex matrices to the power k >= 1 mod q, by square and
-    multiply over the bits of k."""
+    """The vertex matrices, or stacks of them, to the power k >= 1 mod q,
+    by square and multiply over the bits of k."""
     result = maps
     for bit in bin(k)[3:]:
-        result = [linalg.matmul(a, a, q) for a in result]
+        result = [a @ a % q for a in result]
         if bit == "1":
-            result = [linalg.matmul(a, b, q) for a, b in zip(result, maps)]
+            result = [a @ b % q for a, b in zip(result, maps)]
     return result
 
 
-def _radical(basis: list[Morphism], n: int, p: int) -> list[Morphism]:
-    """A basis of rad End M, for a basis of End M and n = dim M.
+def _stacks(maps: list[Morphism], dims) -> list[np.ndarray]:
+    """Per vertex, the (len(maps), d, d) stack of the maps' matrices."""
+    return [np.array([f.vertex_maps[vi] for f in maps], dtype=np.int64)
+            .reshape(len(maps), d, d) for vi, d in enumerate(dims)]
+
+
+def _rows(stacks: list[np.ndarray]) -> np.ndarray:
+    """The maps of vertex stacks as rows, each laid out as by flatten."""
+    return np.hstack([s.reshape(len(s), s.shape[1] * s.shape[2])
+                      for s in stacks])
+
+
+def _radical(m: Representation) -> np.ndarray:
+    """A basis of rad End M as flattened rows, computed once per module.
 
     Cohen, Ivanyos and Wales (JPAA 117-118, 1997): starting from End M,
     step i keeps the a in the current ideal with g_i(ab) = 0 for every
     basis map b, where g_i(x) = Tr(x^(p^i)) / p^i mod p, the power taken
     on integer lifts mod p^(i+1); g_i is linear on the previous ideal.
-    The steps run while p^i <= n, so for p > n only the trace form
-    Tr(ab) is read (Dickson).
+    The steps run while p^i <= dim M, so for p > dim M only the trace
+    form Tr(ab) is read (Dickson).
     """
-    ideal = basis
+    cached = m._cache.get("radical")
+    if cached is not None:
+        return cached
+    basis = hom_space(m, m)
+    p = m.algebra.p
+    ideal = _stacks(basis, m.dims)
     scale = 1  # p^i
-    while scale <= n and ideal:
+    while scale <= m.total_dim and len(ideal[0]):
         q = p * scale
-        gram = [[sum(int(np.trace(x)) for x in
-                     _power(a.compose(b).vertex_maps, scale, q)) % q // scale
-                 for a in ideal] for b in basis]
-        coeffs = linalg.kernel(gram, p)
-        ideal = [combination(ideal, coeffs[:, k])
-                 for k in range(coeffs.shape[1])]
+        # row b holds g_i(ab) for the maps a of the ideal
+        gram = [sum(np.trace(x, axis1=1, axis2=2) for x in _power(
+                    [a @ y % p for a, y in zip(ideal, b.vertex_maps)],
+                    scale, q)) % q // scale for b in basis]
+        coeffs = linalg.kernel(gram, p).T
+        ideal = [np.tensordot(coeffs, a, axes=1) % p for a in ideal]
         scale *= p
-    return ideal
+    rad = m._cache["radical"] = _rows(ideal)
+    return rad
 
 
 def is_indecomposable(m: Representation) -> bool:
@@ -640,7 +658,7 @@ def is_indecomposable(m: Representation) -> bool:
              for f in reversed(basis)):
         result = False
     else:
-        rad = [f.flatten() for f in _radical(basis, n, p)]
+        rad = list(_radical(m))
 
         def rank_over_rad(vectors):
             return linalg.rank(np.stack(rad + vectors, axis=1), p)
@@ -659,33 +677,10 @@ def is_indecomposable(m: Representation) -> bool:
 # isomorphism testing
 
 
-# A search over combinations of a Hom basis is exhaustive iff the vectors
-# it tests number at most this: (p**h - 1)/(p - 1) for h basis maps in the
-# isomorphism search of a decomposable module, p**(d*r) coefficients in
-# the Pres fallback of modclasses.  Beyond it, searches sample or refuse.
-SEARCH_CAP = 1 << 16
-_SAMPLE_COUNT = 20000
-
-
-def coefficient_vectors(h: int, p: int, draws: int | None = None,
-                        leading_one: bool = False):
-    """Nonzero coefficient vectors for a Hom basis of dimension h: all of
-    them in itertools.product order (given ``leading_one``, only those
-    whose first nonzero entry is 1, still in that order), or, given
-    ``draws``, that many seeded draws from default_rng(0) with the zero
-    draws skipped."""
-    if draws is None:
-        leads = (1,) if leading_one else range(1, p)
-        for k in reversed(range(h)):
-            for lead in leads:
-                for tail in itertools.product(range(p), repeat=h - k - 1):
-                    yield (0,) * k + (lead,) + tail
-        return
-    rng = np.random.default_rng(0)
-    for _ in range(draws):
-        coeffs = rng.integers(0, p, size=h)
-        if coeffs.any():
-            yield coeffs
+def coefficient_vectors(h: int, p: int):
+    """The nonzero coefficient vectors for a Hom basis of dimension h, in
+    itertools.product order."""
+    return itertools.islice(itertools.product(range(p), repeat=h), 1, None)
 
 
 def combination(basis: list[Morphism], coeffs) -> Morphism:
@@ -696,64 +691,54 @@ def combination(basis: list[Morphism], coeffs) -> Morphism:
     return Morphism(first.source, first.target, maps)
 
 
-def _iso_witness_search(m, n, basis):
-    """First isomorphism among the combinations of the Hom(M, N) basis.
-
-    The exhaustive search tests only vectors whose first nonzero entry is
-    1: scalar multiples of an isomorphism are isomorphisms, so the first
-    isomorphism in product order is found all the same.  It runs iff
-    those (p^h - 1)/(p - 1) vectors are at most SEARCH_CAP.  Before it
-    samples, it compares h with dim End M, dim End N and dim Hom(N, M),
-    which all equal h when M and N are isomorphic.
-    """
+def _top_dim(m: Representation, n: Representation) -> int:
+    """dim Hom(M, N)/rad(M, N): the rank of f -> (g.f mod rad End M)
+    over the basis maps g of Hom(N, M), whose kernel is rad(M, N)."""
     p = m.algebra.p
-    h = len(basis)
-    if h == 0:
-        return None
-    exhaustive = (p ** h - 1) // (p - 1) <= SEARCH_CAP
-    if exhaustive:
-        vectors = coefficient_vectors(h, p, leading_one=True)
-    elif {hom_dim(m, m), hom_dim(n, n), hom_dim(n, m)} != {h}:
-        return None
-    else:
-        vectors = coefficient_vectors(h, p, _SAMPLE_COUNT)
-    for coeffs in vectors:
-        f = combination(basis, coeffs)
-        if f.is_iso():
-            return f
-    if exhaustive:
-        return None
-    raise UndecidableError(
-        "isomorphism search space too large for exhaustion and sampling "
-        "found no witness; refusing to answer"
-    )
+    # an endomorphism is determined by its entries at these coordinates,
+    # and the columns of dual are functionals there that vanish together
+    # exactly on rad End M
+    ends = np.stack([f.flatten() for f in hom_space(m, m)])
+    coords = list(linalg.row_reduce(ends, p).pivot_columns)
+    dual = linalg.kernel(_radical(m)[:, coords], p)
+    forth = _stacks(hom_space(m, n), m.dims)
+    blocks = [_rows([x @ f % p for x, f in zip(g.vertex_maps, forth)])
+              [:, coords] @ dual % p for g in hom_space(n, m)]
+    return linalg.rank(np.hstack([linalg.zeros(len(forth[0]), 0), *blocks]),
+                       p)
 
 
-def is_isomorphic(m: Representation, n: Representation,
-                  with_witness: bool = False):
+def is_isomorphic(m: Representation, n: Representation) -> bool:
+    """Whether M and N are isomorphic, decided exactly.
+
+    For an indecomposable M, End M is local: given an isomorphism
+    g: N -> M, f is one iff g.f lies outside rad End M, so the
+    non-isomorphisms form a proper subspace of Hom(M, N), which no basis
+    lies in.  Otherwise write M = sum X_i^(a_i) and N = sum X_i^(b_i)
+    over pairwise non-isomorphic indecomposables X_i, with
+    d_i = dim End X_i / rad, and rad(M, N) for the f: M -> N with g.f in
+    rad End M for every g: N -> M.  Then dim Hom(M, N)/rad(M, N) is
+    sum a_i b_i d_i, and it equals both dim End M / rad = sum a_i^2 d_i
+    and dim End N / rad = sum b_i^2 d_i iff sum d_i (a_i - b_i)^2 = 0,
+    that is iff a = b (Auslander, Reiten and Smalo, Representation Theory
+    of Artin Algebras).
+    """
     if m.algebra is not n.algebra:
         raise AlgebraMismatchError("comparison across different algebras")
     if m.dims != n.dims:
-        return (False, None) if with_witness else False
+        return False
     if m.total_dim == 0:
-        return (True, zero_morphism(m, n)) if with_witness else True
-    basis = hom_space(m, n)
+        return True
     if is_indecomposable(m):
-        # End M is local: given an isomorphism g: N -> M, f is one iff g.f
-        # lies outside rad End M, so the non-isomorphisms form a proper
-        # subspace of Hom(M, N), which no basis lies in
-        witness = next((f for f in reversed(basis) if f.is_iso()), None)
-    else:
-        witness = _iso_witness_search(m, n, basis)
-    found = witness is not None
-    return (found, witness) if with_witness else found
+        return any(f.is_iso() for f in reversed(hom_space(m, n)))
+    top = hom_dim(m, m) - len(_radical(m))
+    return top == hom_dim(n, n) - len(_radical(n)) == _top_dim(m, n)
 
 
 __all__ = [
     "AlgebraMismatchError",
     "Morphism",
     "Representation",
-    "SEARCH_CAP",
     "UndecidableError",
     "coefficient_vectors",
     "cokernel",

@@ -135,6 +135,25 @@ def test_cli_input_errors(capsys, alg_dir, tmp_path):
     assert code == 2
 
 
+def test_cli_rejects_negative_max_summands(capsys, alg_dir):
+    for command in ("verify-theorems", "classify"):
+        code, out, err = run_cli(capsys, command, str(alg_dir / "a2.alg"),
+                                 "--max-summands", "-1")
+        assert code == 2 and out == ""
+        assert "max_summands must be at least 0" in err
+    code, out, _ = run_cli(capsys, "classify", str(alg_dir / "a2.alg"),
+                           "--max-summands", "0")
+    assert code == 0
+
+
+def test_cli_rejects_route_for_other_predicates(capsys, alg_dir):
+    code, out, err = run_cli(capsys, "check", str(alg_dir / "a2.alg"),
+                             "--module", "S1+P2", "--predicate", "silting",
+                             "--route", "definition")
+    assert code == 2 and out == ""
+    assert "--route applies to the tilting predicate only" in err
+
+
 def test_cli_oversized_field_rejected_fast(capsys, tmp_path):
     big = tmp_path / "big.alg"
     big.write_text("field 1000000000000000003\nvertices 1\n")

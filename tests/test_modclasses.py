@@ -8,6 +8,7 @@ from conftest import whole_sum
 from siltlab import linalg, modclasses, zoo
 from siltlab.harness import load_workbench
 from siltlab.modclasses import (
+    SEARCH_CAP,
     MembershipWitness,
     add_contains,
     gen_contains,
@@ -19,7 +20,6 @@ from siltlab.modclasses import (
     trace_spans,
 )
 from siltlab.reps import (
-    SEARCH_CAP,
     Morphism,
     UndecidableError,
     direct_sum,
