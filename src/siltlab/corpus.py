@@ -10,15 +10,17 @@ deduplicates up to isomorphism.
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import linalg
+from .linalg import MalformedInputError
 from .pathalg import Algebra
 from .reps import (
     Representation,
+    _radical,
+    _top_dim,
     hom_dim,
     is_indecomposable,
     is_isomorphic,
@@ -85,7 +87,7 @@ def _linear_order(algebra: Algebra) -> list[str] | None:
 def _interval_modules(algebra: Algebra) -> list[Representation]:
     order = _linear_order(algebra)
     if order is None or algebra.relations.relations:
-        raise ValueError(
+        raise MalformedInputError(
             "classified hereditary-An strategy needs a relation-free "
             "type-A quiver"
         )
@@ -273,7 +275,7 @@ def enumerate_indecomposables(algebra: Algebra, strategy: str = "classified",
             members = _nakayama_members(algebra)
             completeness = "certified-by-classification"
         else:
-            raise ValueError(
+            raise MalformedInputError(
                 "no classification available for this algebra; use the "
                 "brute strategy"
             )
@@ -298,7 +300,7 @@ def enumerate_indecomposables(algebra: Algebra, strategy: str = "classified",
         members = _sorted_members(members)
         return Corpus(algebra, members, _assign_names(algebra, members),
                       f"brute-force-up-to-dim-{dim_bound}")
-    raise ValueError(f"unknown strategy {strategy!r}")
+    raise MalformedInputError(f"unknown strategy {strategy!r}")
 
 
 def _is_nakayama(algebra: Algebra) -> bool:
@@ -316,61 +318,47 @@ def _is_nakayama(algebra: Algebra) -> bool:
 # decomposition
 
 
+class NoDecompositionError(RuntimeError):
+    """No multiset of corpus members has the direct sum M."""
+
+
 def decompose(m: Representation, corpus: Corpus) -> dict[int, int]:
-    """Multiset of corpus indices with direct sum isomorphic to M.
+    """Multiset of corpus indices with direct sum isomorphic to M, for a
+    corpus of pairwise non-isomorphic indecomposables, complete or not.
 
-    Uses the hom-dimension criterion: the functions dim Hom(X_i, -) of
-    pairwise non-isomorphic indecomposables are linearly independent, so
-    the multiplicities are the unique solution of
-
-        sum_i c_i dim Hom(X_i, X_j) = dim Hom(M, X_j)   for all j.
-
-    A non-integral or negative solution, or a dimension-vector mismatch,
-    means the corpus cannot decompose M.
+    Write M = sum Y_k^(a_k) over pairwise non-isomorphic indecomposables.
+    For indecomposables X and Y, rad(X, Y) = Hom(X, Y) unless X = Y up
+    to isomorphism, so dim Hom(X, M)/rad(X, M) = a_X d_X, with
+    d_X = dim End X/rad and a_X the multiplicity of X in M (Auslander,
+    Reiten and Smalo).  A member whose dimension vector does not fit in
+    M, or with Hom(M, X) = 0, is no summand.  The multiplicities read off
+    this way are exact, so they account for M iff their dimension vectors
+    add up to dim M; otherwise M has a summand the corpus does not list,
+    and NoDecompositionError is raised.
     """
     if m.algebra is not corpus.algebra:
         raise ValueError("module and corpus live over different algebras")
-    if m.is_zero():
-        return {}
-    members = corpus.members
-    n = len(members)
-    h = np.array([[hom_dim(members[i], members[j]) for i in range(n)]
-                  for j in range(n)], dtype=np.int64).reshape(n, n)
-    b = np.array([hom_dim(m, members[j]) for j in range(n)], dtype=np.int64)
-    # h is nonsingular over Q, so an x that solves the system over the
-    # integers is its unique rational solution; and a multiplicity is at
-    # most dim M, below q, so a decomposition is never missed mod q.
-    x = linalg.solve(h, b, _nonsingular_prime(h))[:, 0]
-    result = {i: int(c) for i, c in enumerate(x) if c}
-    dims = tuple(sum(c * members[i].dims[v] for i, c in result.items())
+    result = {}
+    for i, x in enumerate(corpus.members):
+        if (any(a > b for a, b in zip(x.dims, m.dims))
+                or not hom_dim(m, x)):
+            continue
+        count = _top_dim(x, m) // (hom_dim(x, x) - len(_radical(x)))
+        if count:
+            result[i] = count
+    dims = tuple(sum(c * corpus.members[i].dims[v] for i, c in result.items())
                  for v in range(len(m.dims)))
-    if ((x > m.total_dim).any() or not np.array_equal(h @ x, b)
-            or dims != m.dims):
-        raise RuntimeError(
-            "no corpus decomposition found; the corpus is incomplete for "
-            f"{m!r}"
+    if dims != m.dims:
+        raise NoDecompositionError(
+            "no corpus decomposition found: the dimension vectors of the "
+            f"multiplicities read off do not add up to {m!r}"
         )
     return result
 
 
-def _nonsingular_prime(h: np.ndarray) -> int:
-    """The largest prime q <= linalg.MAX_PRIME with h nonsingular mod q.
-
-    Every prime passed over divides det h, so once their product exceeds
-    Hadamard's bound on |det h|, h is singular and decides nothing.
-    """
-    bound = math.prod(math.isqrt(int(row @ row)) + 1 for row in h)
-    q, passed = linalg.MAX_PRIME, 1
-    while linalg.rank(h, q) < len(h):
-        passed *= q
-        if passed > bound:
-            raise RuntimeError("the corpus Hom-dimension matrix is singular")
-        q = next(r for r in range(q - 1, 1, -1) if linalg.is_prime(r))
-    return q
-
-
 __all__ = [
     "Corpus",
+    "NoDecompositionError",
     "decompose",
     "enumerate_indecomposables",
     "is_indecomposable",

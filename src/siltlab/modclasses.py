@@ -9,13 +9,13 @@ indecomposable summands lie in the supplied corpus.
 from __future__ import annotations
 
 import itertools
-from collections.abc import Sequence
-from dataclasses import dataclass
+from collections.abc import Collection, Sequence
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from . import linalg
-from .corpus import Corpus, decompose
+from .corpus import Corpus, NoDecompositionError, decompose
 from .homology import ext_dim
 from .reps import (
     Representation,
@@ -197,14 +197,20 @@ def pres_contains(summands: Sequence[Representation],
 # Add
 
 
-def add_contains(t_summands: dict[int, int], m: Representation,
+def add_contains(t_summands: Collection[int], m: Representation,
                  corpus: Corpus) -> bool:
-    """Add-membership via Krull-Schmidt: every indecomposable summand of M
-    must occur among T's summand indices."""
-    if m.is_zero():
-        return True
-    dec = decompose(m, corpus)
-    return all(idx in t_summands for idx in dec)
+    """Add-membership via Krull-Schmidt: M is in add T iff it decomposes
+    over the corpus members that are T's summands, given by their corpus
+    indices.  decompose is exact on that sub-list, so a summand of M
+    outside it, listed by the corpus or not, gives False."""
+    own = sorted(set(t_summands))
+    summands = replace(corpus, members=[corpus.members[i] for i in own],
+                       names=[corpus.names[i] for i in own])
+    try:
+        decompose(m, summands)
+    except NoDecompositionError:
+        return False
+    return True
 
 
 # ---------------------------------------------------------------------------

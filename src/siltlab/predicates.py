@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import linalg
-from .corpus import Corpus, decompose
+from .corpus import Corpus
 from .homology import (
     BoundExceededError,
     default_resolution_bound,
@@ -36,6 +36,7 @@ from .homology import (
     respects_presentation,
 )
 from .modclasses import (
+    add_contains,
     left_perp0_of_gen,
     pres_contains,
     subfac_facsub,
@@ -194,14 +195,8 @@ class Workbench:
         whose Hom systems no table keeps."""
         if candidate not in self._t3:
             delta = _coevaluation(self, candidate)
-            in_add = False
-            if delta.is_mono():
-                try:
-                    dec = decompose(cokernel(delta)[0], self.corpus)
-                    in_add = all(idx in candidate for idx in dec)
-                except RuntimeError:
-                    pass
-            self._t3[candidate] = in_add
+            self._t3[candidate] = delta.is_mono() and add_contains(
+                candidate, cokernel(delta)[0], self.corpus)
         return self._t3[candidate]
 
     def ext_from_candidate(self, degree: int, candidate: Candidate,

@@ -592,10 +592,12 @@ def _power(maps: list[np.ndarray], k: int, q: int) -> list[np.ndarray]:
     return result
 
 
-def _stacks(maps: list[Morphism], dims) -> list[np.ndarray]:
-    """Per vertex, the (len(maps), d, d) stack of the maps' matrices."""
+def _stacks(maps: list[Morphism], rows, cols) -> list[np.ndarray]:
+    """Per vertex v, the (len(maps), rows[v], cols[v]) stack of the maps'
+    matrices."""
     return [np.array([f.vertex_maps[vi] for f in maps], dtype=np.int64)
-            .reshape(len(maps), d, d) for vi, d in enumerate(dims)]
+            .reshape(len(maps), r, c)
+            for vi, (r, c) in enumerate(zip(rows, cols))]
 
 
 def _rows(stacks: list[np.ndarray]) -> np.ndarray:
@@ -619,7 +621,7 @@ def _radical(m: Representation) -> np.ndarray:
         return cached
     basis = hom_space(m, m)
     p = m.algebra.p
-    ideal = _stacks(basis, m.dims)
+    ideal = _stacks(basis, m.dims, m.dims)
     scale = 1  # p^i
     while scale <= m.total_dim and len(ideal[0]):
         q = p * scale
@@ -692,8 +694,9 @@ def combination(basis: list[Morphism], coeffs) -> Morphism:
 
 
 def _top_dim(m: Representation, n: Representation) -> int:
-    """dim Hom(M, N)/rad(M, N): the rank of f -> (g.f mod rad End M)
-    over the basis maps g of Hom(N, M), whose kernel is rad(M, N)."""
+    """dim Hom(M, N)/rad(M, N), for any two dimension vectors: the rank
+    of f -> (g.f mod rad End M) over the basis maps g of Hom(N, M), whose
+    kernel is rad(M, N)."""
     p = m.algebra.p
     # an endomorphism is determined by its entries at these coordinates,
     # and the columns of dual are functionals there that vanish together
@@ -701,7 +704,7 @@ def _top_dim(m: Representation, n: Representation) -> int:
     ends = np.stack([f.flatten() for f in hom_space(m, m)])
     coords = list(linalg.row_reduce(ends, p).pivot_columns)
     dual = linalg.kernel(_radical(m)[:, coords], p)
-    forth = _stacks(hom_space(m, n), m.dims)
+    forth = _stacks(hom_space(m, n), n.dims, m.dims)
     blocks = [_rows([x @ f % p for x, f in zip(g.vertex_maps, forth)])
               [:, coords] @ dual % p for g in hom_space(n, m)]
     return linalg.rank(np.hstack([linalg.zeros(len(forth[0]), 0), *blocks]),

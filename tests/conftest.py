@@ -3,6 +3,7 @@ import pathlib
 import pytest
 
 from siltlab import zoo
+from siltlab.corpus import NoDecompositionError, decompose
 from siltlab.harness import load_workbench
 from siltlab.reps import direct_sum
 
@@ -13,6 +14,14 @@ def whole_sum(wb, candidate):
     """The direct sum of a candidate's summands, which the Workbench never
     builds: the reference that its summand-wise tables are tested against."""
     return direct_sum(wb.algebra, [wb.members[i] for i in candidate])
+
+
+def decompose_or_none(m, corpus):
+    """decompose, with None where M has a summand the corpus lacks."""
+    try:
+        return decompose(m, corpus)
+    except NoDecompositionError:
+        return None
 
 
 @pytest.fixture(scope="session")

@@ -1,13 +1,19 @@
 import itertools
+from dataclasses import replace
 
 import numpy as np
 import pytest
+import sympy
+from conftest import decompose_or_none
 
-from siltlab import reps, zoo
+from siltlab import predicates, reps, zoo
 from siltlab.algfile import load_algebra_file, parse_algebra_file
 from siltlab.corpus import (
+    Corpus,
+    NoDecompositionError,
     _all_representations,
     _assign_names,
+    _interval_modules,
     _nakayama_members,
     _sorted_members,
     _splits_off_simple,
@@ -16,8 +22,10 @@ from siltlab.corpus import (
     is_indecomposable,
 )
 from siltlab.harness import load_workbench, verify_theorems
+from siltlab.linalg import MalformedInputError
 from siltlab.reps import (
     Morphism,
+    cokernel,
     direct_sum,
     hom_dim,
     hom_space,
@@ -439,15 +447,134 @@ def test_decompose_identifies_summands(a3_wb):
     assert decompose(summed, wb.corpus) == mults
 
 
-@pytest.mark.parametrize("wb_name", ["a3_wb", "nak3_wb", "cyc2_wb"])
+def _decompose_by_hom_dims(m, corpus):
+    """Reference for decompose, with no radical: the Hom-dimension
+    criterion, solved over Q.  The functions dim Hom(-, X_j) of pairwise non-isomorphic
+    indecomposables are linearly independent, so over a complete corpus
+    the multiplicities are the unique rational solution of
+    sum_i c_i dim Hom(X_i, X_j) = dim Hom(M, X_j).  None unless that
+    matrix is nonsingular and the solution is a vector of non-negative
+    integers whose dimension vectors add up to dim M."""
+    members = corpus.members
+    h = sympy.Matrix([[hom_dim(x, y) for x in members] for y in members])
+    if h.det() == 0:
+        return None
+    x = h.LUsolve(sympy.Matrix([hom_dim(m, y) for y in members]))
+    if any(not c.is_integer or c < 0 for c in x):
+        return None
+    dec = {i: int(c) for i, c in enumerate(x) if c}
+    dims = tuple(sum(c * members[i].dims[v] for i, c in dec.items())
+                 for v in range(len(m.dims)))
+    return dec if dims == m.dims else None
+
+
+@pytest.mark.parametrize("wb_name",
+                         ["a3_wb", "nak3_wb", "cyc2_wb", "a2_wb", "a4_wb"])
 def test_decompose_round_trips_random_sums(request, wb_name):
     wb = request.getfixturevalue(wb_name)
     rng = np.random.default_rng(7)
     for _ in range(20):
         counts = [int(c) for c in rng.integers(0, 3, size=len(wb.members))]
         summed = direct_sum(wb.algebra, wb.members, counts)
-        assert decompose(summed, wb.corpus) == {
-            i: c for i, c in enumerate(counts) if c}
+        expected = {i: c for i, c in enumerate(counts) if c}
+        assert decompose(summed, wb.corpus) == expected
+        assert _decompose_by_hom_dims(summed, wb.corpus) == expected
+
+
+@pytest.mark.parametrize("wb_name", ["a3_wb", "nak3_wb", "cyc2_wb"])
+def test_decompose_matches_reference_on_t3_cokernels(request, wb_name):
+    """Every T3 cokernel, cok(R -> sum T_i^(d_i)) for a mono coevaluation,
+    decomposes over the complete corpus as the Hom-dimension system says."""
+    wb = request.getfixturevalue(wb_name)
+    monos = 0
+    for c in wb.all_candidates():
+        delta = predicates._coevaluation(wb, c)
+        if not delta.is_mono():
+            continue
+        monos += 1
+        cok = cokernel(delta)[0]
+        expected = _decompose_by_hom_dims(cok, wb.corpus)
+        assert expected is not None, wb.candidate_name(c)
+        assert decompose(cok, wb.corpus) == expected, wb.candidate_name(c)
+    assert monos
+
+
+KRONECKER_F2 = """field 2
+vertices 1 2
+arrow a: 1 -> 2
+arrow b: 1 -> 2
+"""
+
+
+def test_decompose_divides_by_dim_end_over_rad():
+    """Over the Kronecker algebra over F2, X with a = I and b the companion
+    matrix of x^2 + x + 1 has End X = F2[b] = F4, so d_X = 2 and
+    Hom(X, X^2)/rad(X, X^2) has dimension 4 for multiplicity 2."""
+    alg = parse_algebra_file(KRONECKER_F2).build()
+    x = reps.Representation(alg, (2, 2), [np.eye(2, dtype=np.int64),
+                                          np.array([[0, 1], [1, 1]])])
+    assert hom_dim(x, x) == 2 and is_indecomposable(x)
+    members = [simple_module(alg, "1"), simple_module(alg, "2"),
+               projective_module(alg, "1"), x]
+    listed = Corpus(alg, members, ["S1", "S2", "P1", "X"], "listed-for-test")
+    for counts in itertools.product(range(3), repeat=len(members)):
+        summed = direct_sum(alg, members, list(counts))
+        expected = {i: c for i, c in enumerate(counts) if c}
+        assert decompose(summed, listed) == expected
+        assert _decompose_by_hom_dims(summed, listed) == expected
+
+
+@pytest.mark.parametrize("wb_name", ["a2_wb", "a3_wb", "nak3_wb", "cyc2_wb"])
+def test_decompose_is_exact_on_sub_lists(request, wb_name):
+    """On every sub-list of the corpus, decompose raises iff M has a
+    summand outside it, and otherwise reads M's multiplicities."""
+    wb = request.getfixturevalue(wb_name)
+    n = len(wb.members)
+    rng = np.random.default_rng(11)
+    counts = [[int(i == j) for i in range(n)] for j in range(n)]
+    counts += [[int(c) for c in rng.integers(0, 3, size=n)] for _ in range(6)]
+    sums = [({i: c for i, c in enumerate(row) if c},
+             direct_sum(wb.algebra, wb.members, row)) for row in counts]
+    for r in range(1, n + 1):
+        for sub in itertools.combinations(range(n), r):
+            listed = replace(wb.corpus, members=[wb.members[i] for i in sub],
+                             names=[wb.names[i] for i in sub])
+            for full, m in sums:
+                expected = ({sub.index(i): c for i, c in full.items()}
+                            if set(full) <= set(sub) else None)
+                assert decompose_or_none(m, listed) == expected, (sub, full)
+
+
+def test_hom_dim_reference_accepts_a_module_off_the_sub_list(cyc2_wb):
+    """On the 2-cycle, P1 and P2 share the dimension vector (1, 1) and
+    dim Hom(P1, P2) = dim End P2 = 1, so the Hom-dimension system over the
+    sub-list [P2] reads P1 = P2.  decompose refuses: Hom(P2, P1) lies in
+    rad(P2, P1)."""
+    wb = cyc2_wb
+    p1, p2 = (wb.members[wb.corpus.index_of(name)] for name in ("P1", "P2"))
+    listed = replace(wb.corpus, members=[p2], names=["P2"])
+    assert _decompose_by_hom_dims(p1, listed) == {0: 1}
+    with pytest.raises(NoDecompositionError):
+        decompose(p1, listed)
+
+
+D4_STAR = """field 2
+family hereditary-An
+vertices 1 2 3 4
+arrow a: 1 -> 2
+arrow b: 1 -> 3
+arrow c: 1 -> 4
+"""
+
+
+def test_unclassifiable_algebra_is_an_input_error():
+    """The D4 star is neither of type A nor Nakayama, whatever its family
+    line says: the classified strategy refuses it as malformed input."""
+    alg = parse_algebra_file(D4_STAR).build()
+    with pytest.raises(MalformedInputError, match="no classification"):
+        enumerate_indecomposables(alg, "classified")
+    with pytest.raises(MalformedInputError, match="type-A"):
+        _interval_modules(alg)
 
 
 def test_decompose_regular(nak3_wb):
@@ -464,8 +591,6 @@ def test_decompose_regular(nak3_wb):
 
 
 def test_decompose_incomplete_corpus_raises(a3_wb):
-    from siltlab.corpus import Corpus
-
     wb = a3_wb
     truncated = Corpus(wb.algebra, wb.members[:2], wb.names[:2],
                        "truncated-for-test")
@@ -476,14 +601,12 @@ def test_decompose_incomplete_corpus_raises(a3_wb):
 
 
 def test_decompose_singular_corpus_raises(a2_algebra):
-    """A corpus listing S1 twice has a singular Hom-dimension matrix,
-    which fixes no multiplicities: every prime is passed over until their
-    product exceeds Hadamard's bound, and decompose refuses."""
-    from siltlab.corpus import Corpus
-
+    """A corpus listing S1 twice is no list of pairwise non-isomorphic
+    indecomposables: each copy reads multiplicity 1 off S1, the dimension
+    vectors add up to twice dim S1, and decompose refuses."""
     s1 = simple_module(a2_algebra, "1")
     twice = Corpus(a2_algebra, [s1, s1], ["S1", "S1'"], "duplicated-for-test")
-    with pytest.raises(RuntimeError, match="singular"):
+    with pytest.raises(RuntimeError, match="do not add up"):
         decompose(direct_sum(a2_algebra, [s1]), twice)
 
 
@@ -500,5 +623,5 @@ def test_standard_names_preferred(nak3_wb):
 
 
 def test_unknown_strategy_rejected(a2_algebra):
-    with pytest.raises(ValueError):
+    with pytest.raises(MalformedInputError):
         enumerate_indecomposables(a2_algebra, "magic")

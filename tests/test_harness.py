@@ -4,6 +4,7 @@ import json
 import time
 
 import pytest
+from test_corpus import D4_STAR
 
 from siltlab import harness
 from siltlab.cli import main
@@ -133,6 +134,19 @@ def test_cli_input_errors(capsys, alg_dir, tmp_path):
     code, _, err = run_cli(capsys, "check", str(alg_dir / "a2.alg"),
                            "--module", "P2", "--predicate", "shiny")
     assert code == 2
+
+
+def test_cli_unclassifiable_algebra_is_input_error(capsys, tmp_path):
+    """The D4 star is neither of type A nor Nakayama: asked for its
+    classified corpus directly, or through a family line it contradicts,
+    the CLI exits 2 with a message instead of a traceback."""
+    star = tmp_path / "d4_star.alg"
+    star.write_text(D4_STAR)
+    for argv in (("indec", "list", str(star), "--strategy", "classified"),
+                 ("classify", str(star))):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2 and out == ""
+        assert err.startswith("siltlab: error: no classification available")
 
 
 def test_cli_rejects_negative_max_summands(capsys, alg_dir):

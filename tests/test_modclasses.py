@@ -1,5 +1,6 @@
 import functools
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -29,6 +30,7 @@ from siltlab.reps import (
     regular_module,
     simple_module,
     sub_representation,
+    zero_representation,
 )
 
 
@@ -82,7 +84,15 @@ def test_add_contains(a2_wb):
     p2 = wb.members[i_p2]
     doubled = direct_sum(alg, [p2], [2])
     assert add_contains({i_p2: 1}, doubled, wb.corpus)
+    assert add_contains((i_p2,), doubled, wb.corpus)
     assert not add_contains({i_p2: 1}, wb.members[i_s1], wb.corpus)
+    assert add_contains((), zero_representation(alg), wb.corpus)
+    # a summand outside the corpus gives False, not an error
+    only_p2 = replace(wb.corpus, members=[p2], names=["P2"])
+    s1_p2 = direct_sum(alg, [wb.members[i_s1], p2])
+    assert not add_contains((0,), s1_p2, only_p2)
+    assert not add_contains((0,), wb.members[i_s1], only_p2)
+    assert add_contains((0,), doubled, only_p2)
 
 
 def test_perp_contains(a2_algebra):

@@ -2,11 +2,10 @@ import sys
 
 import numpy as np
 import pytest
-from conftest import whole_sum
+from conftest import decompose_or_none, whole_sum
 
 from siltlab import harness, linalg, modclasses, predicates, reps
 from siltlab.algfile import load_algebra_file
-from siltlab.corpus import decompose
 from siltlab.homology import BoundExceededError
 from siltlab.predicates import (
     Workbench,
@@ -162,13 +161,6 @@ def _whole_sum_coevaluation(wb, candidate):
     return reps.Morphism(r, total, maps)
 
 
-def _decompose_or_none(m, corpus):
-    try:
-        return decompose(m, corpus)
-    except RuntimeError:
-        return None
-
-
 @pytest.mark.parametrize("fixture,max_summands", ORACLE_WORKBENCHES)
 def test_sincerity_square_matches_whole_sum(request, fixture, max_summands):
     wb = request.getfixturevalue(fixture)
@@ -196,17 +188,21 @@ def test_sincerity_square_matches_whole_sum(request, fixture, max_summands):
 
 @pytest.mark.parametrize("fixture,max_summands", ORACLE_WORKBENCHES)
 def test_coevaluation_matches_whole_sum(request, fixture, max_summands):
-    """cok(R -> T^d) = cok(R -> sum T_i^(d_i)) + (d - d_i) copies of T_i."""
+    """cok(R -> T^d) = cok(R -> sum T_i^(d_i)) + (d - d_i) copies of T_i,
+    and T3 holds iff the first is mono with a cokernel whose corpus
+    decomposition lists summands of T only."""
     wb = request.getfixturevalue(fixture)
     for c in wb.all_candidates(max_summands):
         old = _whole_sum_coevaluation(wb, c)
         new = predicates._coevaluation(wb, c)
         assert old.is_mono() == new.is_mono()
-        old_dec = _decompose_or_none(
+        old_dec = decompose_or_none(
             reps.factorize(old)["cokernel"], wb.corpus)
-        new_dec = _decompose_or_none(
+        new_dec = decompose_or_none(
             reps.factorize(new)["cokernel"], wb.corpus)
         assert (old_dec is None) == (new_dec is None), wb.candidate_name(c)
+        assert wb.t3(c) == (old.is_mono() and old_dec is not None
+                            and set(old_dec) <= set(c)), wb.candidate_name(c)
         if old_dec is None:
             continue
         d_i = {i: len(reps.hom_space(wb._regular, wb.members[i]))
