@@ -19,6 +19,7 @@ from .linalg import MalformedInputError
 from .pathalg import Algebra
 from .reps import (
     Representation,
+    _in_out_maps,
     _radical,
     _top_dim,
     hom_dim,
@@ -27,9 +28,7 @@ from .reps import (
     projective_module,
     quotient_representation,
     radical_of_spans,
-    radical_spans,
     relations_acting,
-    socle_spans,
 )
 
 
@@ -200,24 +199,43 @@ def _splits_off_simple(m: Representation) -> bool:
     of v) lies outside rad M (the images of the arrows into v; a loop
     counts as both).  A hyperplane of M_v that contains rad M at v but
     not x, with M at every other vertex, is a submodule H, <x> is a copy
-    of S(v), and M = H + S(v)."""
+    of S(v), and M = H + S(v).
+
+    With In_v and Out_v as in reps._in_out_maps, soc M_v = ker Out_v and
+    rad M_v = im In_v, so soc M_v meets rad M_v in In_v(ker Out_v.In_v).
+    As ker In_v lies in ker Out_v.In_v, that intersection has dimension
+    rank In_v - rank Out_v.In_v, and soc M_v is not inside rad M_v iff
+    rank In_v + rank Out_v - rank Out_v.In_v < d_v."""
     if m.total_dim < 2:
         return False
-    q = m.algebra.quiver
     p = m.algebra.p
-    for v, d, socle in zip(q.vertices, m.dims, socle_spans(m)):
-        if not socle.shape[1]:
-            continue
-        radical = np.hstack([linalg.zeros(d, 0), *(
-            mat for mat, a in zip(m.arrow_maps, q.arrows) if a.target == v)])
-        if (linalg.rank(np.hstack([radical, socle]), p)
-                > linalg.rank(radical, p)):
+    for d, (into, out) in zip(m.dims, _in_out_maps(m)):
+        # an empty matrix has rank 0 and needs no elimination
+        rank_out = linalg.rank(out, p) if out.size else 0
+        if rank_out == d:
+            continue  # no socle at v
+        if not into.size:
+            return True  # a socle at v and no radical there
+        product = linalg.matmul(out, into, p)
+        if linalg.rank(into, p) + rank_out - linalg.rank(product, p) < d:
             return True
     return False
 
 
 # ---------------------------------------------------------------------------
 # naming and assembly
+
+
+def _top_dims(m: Representation) -> tuple[int, ...]:
+    """dim top M at each vertex v: d_v - rank In_v."""
+    return tuple(d - linalg.rank(into, m.algebra.p)
+                 for d, (into, _) in zip(m.dims, _in_out_maps(m)))
+
+
+def _socle_dims(m: Representation) -> tuple[int, ...]:
+    """dim soc M at each vertex v: d_v - rank Out_v."""
+    return tuple(d - linalg.rank(out, m.algebra.p)
+                 for d, (_, out) in zip(m.dims, _in_out_maps(m)))
 
 
 def _assign_names(algebra: Algebra, members: list[Representation]) -> list[str]:
@@ -231,19 +249,15 @@ def _assign_names(algebra: Algebra, members: list[Representation]) -> list[str]:
     def count(vertices):
         return tuple(vertices.count(u) for u in q.vertices)
 
-    def top(m):
-        return tuple(d - r.shape[1] for d, r in zip(m.dims, radical_spans(m)))
-
-    def socle(m):
-        return tuple(s.shape[1] for s in socle_spans(m))
-
     # (label, dimension vector, the layer that must be S(v), dim S(v))
-    standards = [(f"S{v}", count([v]), top, count([v])) for v in q.vertices]
+    standards = [(f"S{v}", count([v]), _top_dims, count([v]))
+                 for v in q.vertices]
     standards += [(f"P{v}", count([path.end_in(q) for _, path
-                                   in algebra.paths_from(v)]), top, count([v]))
+                                   in algebra.paths_from(v)]), _top_dims,
+                   count([v]))
                   for v in q.vertices]
     standards += [(f"I{v}", count([path.start for _, path
-                                   in algebra.paths_into(v)]), socle,
+                                   in algebra.paths_into(v)]), _socle_dims,
                    count([v]))
                   for v in q.vertices]
     names = []

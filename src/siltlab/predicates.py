@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -43,6 +44,7 @@ from .modclasses import (
     trace_spans,
 )
 from .reps import (
+    Representation,
     cokernel,
     direct_sum,
     hom_space,
@@ -103,11 +105,22 @@ class Workbench:
         self._subfac: dict[tuple[int, int], tuple[bool, bool]] = {}
         self._gen: dict[Candidate, tuple[int, ...]] = {}
         self._t3: dict[Candidate, bool] = {}
-        self._projectives = [projective_module(self.algebra, v)
-                             for v in self.algebra.vertices]
-        self._injectives = [injective_module(self.algebra, v)
-                            for v in self.algebra.vertices]
-        self._regular = regular_module(self.algebra)
+
+    # -- standard modules, built on first use --------------------------
+
+    @cached_property
+    def _projectives(self) -> list[Representation]:
+        return [projective_module(self.algebra, v)
+                for v in self.algebra.vertices]
+
+    @cached_property
+    def _injectives(self) -> list[Representation]:
+        return [injective_module(self.algebra, v)
+                for v in self.algebra.vertices]
+
+    @cached_property
+    def _regular(self) -> Representation:
+        return regular_module(self.algebra)
 
     # -- candidates ----------------------------------------------------
 
@@ -383,15 +396,22 @@ def is_silting(wb: Workbench, candidate: Candidate) -> PredicateReport:
                    "gen_equals_presentation_class", witness)
 
 
-def _pd_and_self_ext1(wb: Workbench, candidate: Candidate):
-    """(pd T, dim Ext^1(T, T)), the data of conditions T1 (pd <= 1) and
-    T2 (no self-extensions); raises when pd is undecided at the bound."""
+def _decided_pd(wb: Workbench, candidate: Candidate) -> int:
+    """pd T; raises when it is undecided at the bound.  The message is
+    part of the classify and verify-theorems reports."""
     pd = wb.candidate_pd(candidate)
     if pd is None:
         raise BoundExceededError(
             f"projective dimension of {wb.candidate_name(candidate)} "
             f"undecided at bound {wb.resolution_bound}"
         )
+    return pd
+
+
+def _pd_and_self_ext1(wb: Workbench, candidate: Candidate):
+    """(pd T, dim Ext^1(T, T)), the data of conditions T1 (pd <= 1) and
+    T2 (no self-extensions); raises when pd is undecided at the bound."""
+    pd = _decided_pd(wb, candidate)
     return pd, sum(wb.ext(1, i, j) for i in candidate for j in candidate)
 
 
@@ -460,13 +480,7 @@ def is_tilting(wb: Workbench, candidate: Candidate,
 
 
 def is_self_orthogonal(wb: Workbench, candidate: Candidate) -> PredicateReport:
-    pd = wb.candidate_pd(candidate)
-    if pd is None:
-        # the message is part of the classify and verify-theorems reports
-        raise BoundExceededError(
-            f"pd of {wb.candidate_name(candidate)} undecided and no "
-            "override bound supplied"
-        )
+    pd = _decided_pd(wb, candidate)
     witness = None
     verdict = True
     for degree in range(1, pd + 1):

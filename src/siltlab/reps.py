@@ -551,23 +551,29 @@ def radical_of_spans(m: Representation,
     return [linalg.column_space_basis(np.hstack(c), alg.p) for c in pushed]
 
 
+def _in_out_maps(m: Representation) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Per vertex v, (In_v, Out_v): the matrices of the arrows into v side
+    by side, d_v x (their source dimensions), and those of the arrows out
+    of v stacked, (their target dimensions) x d_v, in arrow order; a loop
+    at v is in both.  rad M at v is the column span of In_v and soc M at v
+    the kernel of Out_v."""
+    q = m.algebra.quiver
+    ins = [[linalg.zeros(d, 0)] for d in m.dims]
+    outs = [[linalg.zeros(0, d)] for d in m.dims]
+    for mat, a in zip(m.arrow_maps, q.arrows):
+        ins[q.vertex_index(a.target)].append(mat)
+        outs[q.vertex_index(a.source)].append(mat)
+    return [(np.hstack(i), np.vstack(o)) for i, o in zip(ins, outs)]
+
+
 def radical_spans(m: Representation) -> list[np.ndarray]:
-    return radical_of_spans(m, [linalg.identity(d) for d in m.dims])
+    p = m.algebra.p
+    return [linalg.column_space_basis(into, p) for into, _ in _in_out_maps(m)]
 
 
 def socle_spans(m: Representation) -> list[np.ndarray]:
-    alg = m.algebra
-    q = alg.quiver
-    spans = []
-    for ui, u in enumerate(q.vertices):
-        stacked = [m.arrow_maps[ai]
-                   for ai, a in enumerate(q.arrows) if a.source == u]
-        if stacked:
-            mat = np.vstack(stacked)
-            spans.append(linalg.kernel(mat, alg.p))
-        else:
-            spans.append(linalg.identity(m.dims[ui]))
-    return spans
+    p = m.algebra.p
+    return [linalg.kernel(out, p) for _, out in _in_out_maps(m)]
 
 
 def composition_factors(m: Representation) -> dict[str, int]:

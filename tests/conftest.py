@@ -1,6 +1,7 @@
 import pathlib
 
 import pytest
+from hypothesis import settings
 
 from siltlab import zoo
 from siltlab.corpus import NoDecompositionError, decompose
@@ -8,6 +9,11 @@ from siltlab.harness import load_workbench
 from siltlab.reps import direct_sum
 
 ALG_DIR = pathlib.Path(__file__).resolve().parent.parent / "algebras"
+
+# Every run draws the same property-test examples: derandomize seeds each
+# test from a hash of the test itself, and implies no example database.
+settings.register_profile("siltlab", derandomize=True, deadline=None)
+settings.load_profile("siltlab")
 
 
 def whole_sum(wb, candidate):

@@ -6,7 +6,7 @@ import pytest
 import sympy
 from conftest import decompose_or_none
 
-from siltlab import predicates, reps, zoo
+from siltlab import linalg, predicates, reps, zoo
 from siltlab.algfile import load_algebra_file, parse_algebra_file
 from siltlab.corpus import (
     Corpus,
@@ -15,8 +15,10 @@ from siltlab.corpus import (
     _assign_names,
     _interval_modules,
     _nakayama_members,
+    _socle_dims,
     _sorted_members,
     _splits_off_simple,
+    _top_dims,
     decompose,
     enumerate_indecomposables,
     is_indecomposable,
@@ -315,6 +317,37 @@ def test_cycle2_length4_f257_loads_and_verifies():
     assert verify_theorems(wb)[-1]["failed_total"] == 0
 
 
+def _socle_by_stacking(m):
+    """soc M at each vertex: the kernel of the maps out of it stacked, or
+    the whole space at a sink."""
+    q = m.algebra.quiver
+    spans = []
+    for v, d in zip(q.vertices, m.dims):
+        out = [mat for mat, a in zip(m.arrow_maps, q.arrows) if a.source == v]
+        spans.append(linalg.kernel(np.vstack(out), m.algebra.p) if out
+                     else np.eye(d, dtype=np.int64))
+    return spans
+
+
+def _splits_off_simple_by_spans(m):
+    """Reference for corpus._splits_off_simple, as span containment: at
+    some vertex v, the kernel of the maps out of v stacked (soc M) is not
+    inside the span of the maps into v (rad M), and dim M >= 2."""
+    if m.total_dim < 2:
+        return False
+    q = m.algebra.quiver
+    p = m.algebra.p
+    for v, d, socle in zip(q.vertices, m.dims, _socle_by_stacking(m)):
+        if not socle.shape[1]:
+            continue
+        radical = np.hstack([linalg.zeros(d, 0), *(
+            mat for mat, a in zip(m.arrow_maps, q.arrows) if a.target == v)])
+        if (linalg.rank(np.hstack([radical, socle]), p)
+                > linalg.rank(radical, p)):
+            return True
+    return False
+
+
 # Decomposable tuples the certificate rejects, and all decomposable
 # relation-satisfying tuples, of the shipped algebras at dimension <= 5
 _CERTIFIED = {
@@ -335,11 +368,13 @@ _CERTIFIED = {
 ])
 def test_simple_summand_certificate_is_exact(alg_dir, name, dim_bound):
     """Every tuple the brute enumeration drops before solving End M is
-    decomposable by the exact test."""
+    decomposable by the exact test, and the three ranks decide exactly
+    what the span containment of the reference decides."""
     alg = _parsed(alg_dir, name).build()
     rejected = decomposable = 0
     for rep in _all_representations(alg, dim_bound):
         certified = _splits_off_simple(rep)
+        assert certified == _splits_off_simple_by_spans(rep), rep.arrow_maps
         indecomposable = is_indecomposable(rep)
         assert not (certified and indecomposable), rep.arrow_maps
         rejected += certified
@@ -400,9 +435,23 @@ _NAMING_INPUTS = {
 def test_names_match_isomorphism_reference(name, strategy, dim_bound):
     """Names read from dimension vectors, top and socle are those of the
     isomorphism tests, and naming leaves no Hom space cached against a
-    module outside the corpus."""
+    module outside the corpus.  The radical and socle spans read off In_v
+    and Out_v are byte-identical to J.M and to the kernel of the stacked
+    maps out of v, and the top and socle dimensions naming reads are
+    their column counts."""
     alg = _NAMING_INPUTS[name]().build()
     corpus = enumerate_indecomposables(alg, strategy, dim_bound=dim_bound)
+    for m in corpus.members:
+        radical = reps.radical_of_spans(m, [np.eye(d, dtype=np.int64)
+                                            for d in m.dims])
+        socle = _socle_by_stacking(m)
+        for got, want in [(reps.radical_spans(m), radical),
+                          (reps.socle_spans(m), socle)]:
+            assert [(s.dtype, s.shape, s.tobytes()) for s in got] == [
+                (s.dtype, s.shape, s.tobytes()) for s in want]
+        assert _top_dims(m) == tuple(
+            d - r.shape[1] for d, r in zip(m.dims, radical))
+        assert _socle_dims(m) == tuple(s.shape[1] for s in socle)
     if strategy == "brute":
         for m in corpus.members:
             for key in m._cache:  # the ("hom", n) keys are its tuples

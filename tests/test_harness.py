@@ -236,7 +236,7 @@ GOLDEN_CLASSIFY_SHA256 = {
     "nak3_wb":
         "c8d18c8d77a2f7dc11dec47a849ffa4b387e5efc4d5bc8a00e94b96e1f520f1c",
     "cyc2_wb":
-        "2f8419673d2c03a1d88051d49b362f8c95787cbce9f4ea1a8566b51b24998902",
+        "33432227183527e5b2033c69631b5e0332e894a545f4de57ab4bd9a34e65e5e9",
 }
 
 
@@ -258,7 +258,7 @@ GOLDEN_VERIFY_SHA256 = {
     "nak3_wb":
         "51bd92df8bab1ac78b142edad265baacd6362c0e825729e891043bab6d014e83",
     "cyc2_wb":
-        "52369dc14b362cd1b9d765d2bedff0a38b742cc2b77cfdde992968e409caf578",
+        "20051b49ce019bf3556f05ecc2b5e333d242432e51bf3c699a87d3cb3ce216e6",
     "a4_wb":
         "c19c622036df4bc0b2dd673dd507e32d77c81fdfa5caa0376759970ac350c200",
 }

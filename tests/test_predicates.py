@@ -26,6 +26,20 @@ def cand(wb, *names):
     return tuple(sorted(wb.corpus.index_of(n) for n in names))
 
 
+def test_workbench_builds_standard_modules_on_first_use(a3_parsed):
+    """A cold Workbench holds no projective, injective or regular module
+    until something reads it, and then keeps what it built."""
+    wb = harness.load_workbench(a3_parsed)
+    lazy = {"_projectives", "_injectives", "_regular"}
+    assert not lazy & vars(wb).keys()
+    regular = wb._regular
+    assert regular is wb._regular and regular.dims == (3, 2, 1)
+    assert [p.dims for p in wb._projectives] == [
+        reps.projective_module(wb.algebra, v).dims
+        for v in wb.algebra.vertices]
+    assert lazy & vars(wb).keys() == {"_projectives", "_regular"}
+
+
 def test_paper_example_verdicts(a2_wb):
     """T = P2 over the two-vertex quiver: sincere, pretilting, presilting,
     not silting, not tilting."""
