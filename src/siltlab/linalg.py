@@ -228,44 +228,6 @@ def basis_complement(span: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return comp, np.hstack([span, comp])
 
 
-def assemble_block(blocks: list[list[np.ndarray]], p: int) -> np.ndarray:
-    """Assemble a block matrix from a rectangular grid of blocks."""
-    if not blocks:
-        return zeros(0, 0)
-    ncols_grid = len(blocks[0])
-    if any(len(row) != ncols_grid for row in blocks):
-        raise MalformedInputError("ragged block grid")
-    row_heights = [row[0].shape[0] for row in blocks]
-    col_widths = [blocks[0][j].shape[1] for j in range(ncols_grid)]
-    for i, row in enumerate(blocks):
-        for j, blk in enumerate(row):
-            if blk.shape != (row_heights[i], col_widths[j]):
-                raise MalformedInputError(
-                    f"block ({i},{j}) has shape {blk.shape}, "
-                    f"expected {(row_heights[i], col_widths[j])}"
-                )
-    out = zeros(sum(row_heights), sum(col_widths))
-    r0 = 0
-    for i, row in enumerate(blocks):
-        c0 = 0
-        for j, blk in enumerate(row):
-            out[r0 : r0 + row_heights[i], c0 : c0 + col_widths[j]] = (
-                reduce_mod(blk, p)
-            )
-            c0 += col_widths[j]
-        r0 += row_heights[i]
-    return out
-
-
-def block_diag(blocks: list[np.ndarray], p: int) -> np.ndarray:
-    grid = [
-        [blk if i == j else zeros(blocks[i].shape[0], blocks[j].shape[1])
-         for j in range(len(blocks))]
-        for i, blk in enumerate(blocks)
-    ]
-    return assemble_block(grid, p)
-
-
 def invert(a: np.ndarray, p: int) -> np.ndarray:
     """Inverse of a square matrix, by eliminating [A | I]."""
     check_prime(p)

@@ -487,26 +487,42 @@ def factorize(f: Morphism):
 def direct_sum(algebra: Algebra, reps: list[Representation],
                multiplicities: list[int] | None = None) -> Representation:
     """Direct sum of the multiplicity-expanded summands, in input order:
-    each arrow acts block-diagonally."""
+    each arrow acts block-diagonally, a summand's block written at its
+    running row offset at the arrow's target and column offset at its
+    source."""
     if multiplicities is None:
         multiplicities = [1] * len(reps)
+    elif len(multiplicities) != len(reps):
+        raise MalformedInputError(
+            f"{len(multiplicities)} multiplicities for {len(reps)} summands")
     expanded: list[Representation] = []
     for rep, mult in zip(reps, multiplicities):
         if rep.algebra is not algebra:
             raise AlgebraMismatchError("direct sum across different algebras")
+        if not isinstance(mult, (int, np.integer)) or mult < 0:
+            raise MalformedInputError(
+                f"multiplicity {mult!r} is not a nonnegative integer")
         expanded.extend([rep] * mult)
     nv = algebra.n_vertices
     dims = [sum(r.dims[i] for r in expanded) for i in range(nv)]
+    q = algebra.quiver
     maps = []
-    for ai in range(len(algebra.quiver.arrows)):
-        blocks = [r.arrow_maps[ai] for r in expanded]
-        if blocks:
-            maps.append(linalg.block_diag(blocks, algebra.p))
-        else:
-            arrow = algebra.quiver.arrows[ai]
-            u = algebra.quiver.vertex_index(arrow.source)
-            w = algebra.quiver.vertex_index(arrow.target)
-            maps.append(linalg.zeros(dims[w], dims[u]))
+    for ai, arrow in enumerate(q.arrows):
+        u = q.vertex_index(arrow.source)
+        w = q.vertex_index(arrow.target)
+        mat = linalg.zeros(dims[w], dims[u])
+        r0 = c0 = 0
+        for r in expanded:
+            rows, cols = r.dims[w], r.dims[u]
+            block = r.arrow_maps[ai]
+            if block.shape != (rows, cols):
+                raise MalformedInputError(
+                    f"summand {r!r}: arrow {arrow.name} has shape "
+                    f"{block.shape}, expected {(rows, cols)}")
+            mat[r0:r0 + rows, c0:c0 + cols] = block
+            r0 += rows
+            c0 += cols
+        maps.append(mat)
     return Representation(algebra, dims, maps)
 
 

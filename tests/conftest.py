@@ -86,6 +86,11 @@ def a4_wb(a4_parsed):
 
 
 @pytest.fixture(scope="session")
+def a4_f3_wb():
+    return load_workbench(zoo.linear_an(4, 3))
+
+
+@pytest.fixture(scope="session")
 def a2_wb(a2_parsed):
     return load_workbench(a2_parsed)
 

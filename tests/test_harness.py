@@ -237,13 +237,17 @@ GOLDEN_CLASSIFY_SHA256 = {
         "c8d18c8d77a2f7dc11dec47a849ffa4b387e5efc4d5bc8a00e94b96e1f520f1c",
     "cyc2_wb":
         "33432227183527e5b2033c69631b5e0332e894a545f4de57ab4bd9a34e65e5e9",
+    # linear A4 over F3 up to 4 summands, where T3 builds the most sums
+    "a4_f3_wb":
+        "cdb37dda8509625233b3b7866ea93c033f6e98b959dcad7e0f4ee08ce6113d5b",
 }
 
 
 @pytest.mark.parametrize("fixture", sorted(GOLDEN_CLASSIFY_SHA256))
 def test_classify_report_golden_hash(request, fixture):
     wb = request.getfixturevalue(fixture)
-    text = harness.to_json_lines(harness.classify(wb))
+    max_summands = 4 if fixture == "a4_f3_wb" else None
+    text = harness.to_json_lines(harness.classify(wb, max_summands))
     digest = hashlib.sha256(text.encode()).hexdigest()
     assert digest == GOLDEN_CLASSIFY_SHA256[fixture]
 

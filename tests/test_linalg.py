@@ -162,19 +162,6 @@ def test_column_space_basis_canonical():
     assert ca.tobytes() == cb.tobytes()
 
 
-def test_assemble_block_and_block_diag():
-    a = np.array([[1]])
-    b = np.array([[2, 0]])
-    out = linalg.assemble_block([[a, np.zeros((1, 2), dtype=np.int64)],
-                                 [np.zeros((1, 1), dtype=np.int64), b]], 3)
-    assert out.shape == (2, 3)
-    d = linalg.block_diag([np.eye(2, dtype=np.int64),
-                           np.eye(1, dtype=np.int64)], 2)
-    assert np.array_equal(d, np.eye(3, dtype=np.int64))
-    with pytest.raises(linalg.MalformedInputError):
-        linalg.assemble_block([[a], [a, b]], 3)
-
-
 @pytest.mark.parametrize("p", [2, 3, 5])
 def test_rank_nullity_randomized(p):
     rng = np.random.default_rng(12345 + p)

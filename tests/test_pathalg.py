@@ -72,6 +72,27 @@ def test_product_table_is_the_per_pair_normal_form(build):
         alg.mult(0, 0)[0] = 1
 
 
+@pytest.mark.parametrize("build", zoo.STANDARD_FILES.values(),
+                         ids=zoo.STANDARD_FILES)
+def test_shipped_algebras_are_associative(build):
+    build().build()._check_associativity()
+
+
+@pytest.mark.parametrize("build", [
+    lambda: zoo.linear_an(4, 3), zoo.nakayama_a3, zoo.cyclic_nakayama_2,
+    zoo.a2,
+], ids=["linear_a4_f3", "nakayama_a3", "cycle2", "a2"])
+def test_associativity_check_catches_a_perturbed_product(build):
+    """Adding 1 to the e_1 coordinate of e_1 . e_1 breaks associativity
+    (e_1 . e_1 is no longer idempotent), and the check must say so."""
+    alg = build().build()
+    table = alg._products.copy()
+    table[0, 0, 0] = (table[0, 0, 0] + 1) % alg.p
+    alg._products = table
+    with pytest.raises(AlgebraConstructionError, match="not associative"):
+        alg._check_associativity()
+
+
 def test_identity_element(a3_algebra):
     alg = a3_algebra
     one = np.zeros(alg.dim, dtype=np.int64)

@@ -1,7 +1,10 @@
+import functools
 import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from siltlab import linalg, zoo
 from siltlab.harness import load_workbench
@@ -458,3 +461,100 @@ def test_sum_maps_have_the_parts_as_blocks(a3_wb):
         # with no parts the sum is zero and so is every vertex map
         assert morphism_into_sum(m, direct_sum(alg, []), []).is_zero()
         assert morphism_out_of_sum(direct_sum(alg, []), m, []).is_zero()
+
+
+@functools.cache
+def _shipped_workbench(name, p):
+    return load_workbench(zoo.STANDARD_FILES[name](p))
+
+
+@st.composite
+def _summands_and_multiplicities(draw):
+    """Up to four random valid representations of one shipped algebra over
+    F2, F3 or F5, each with a multiplicity 0..2.  A summand is a sum of one
+    to three corpus members, built by the reference below, with its basis
+    changed at random, so its matrices are dense and up to 3 x 3."""
+    wb = _shipped_workbench(draw(st.sampled_from(sorted(zoo.STANDARD_FILES))),
+                            draw(st.sampled_from([2, 3, 5])))
+    alg = wb.algebra
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    picks = draw(st.lists(
+        st.lists(st.sampled_from(wb.members), min_size=1, max_size=3),
+        max_size=4))
+    summands = []
+    for members in picks:
+        dims = [sum(x.dims[v] for x in members)
+                for v in range(alg.n_vertices)]
+        maps = [np.array(rows, dtype=np.int64).reshape(len(rows), ncols)
+                for rows, ncols in _block_diagonal_reference(alg, members)]
+        summands.append(_conjugate(Representation(alg, dims, maps), rng))
+    mults = draw(st.lists(st.integers(0, 2), min_size=len(picks),
+                          max_size=len(picks)))
+    return alg, summands, mults
+
+
+def _block_diagonal_reference(alg, summands):
+    """Per arrow u -> w, the sum's matrix as Python int rows and its column
+    count: the summands' matrices down the diagonal, zeros elsewhere."""
+    q = alg.quiver
+    out = []
+    for ai, arrow in enumerate(q.arrows):
+        u = q.vertex_index(arrow.source)
+        w = q.vertex_index(arrow.target)
+        ncols = sum(r.dims[u] for r in summands)
+        rows = []
+        col = 0
+        for r in summands:
+            for row in r.arrow_maps[ai].tolist():
+                rows.append([0] * col + row + [0] * (ncols - col - len(row)))
+            col += r.dims[u]
+        out.append((rows, ncols))
+    return out
+
+
+@settings(max_examples=80)
+@given(_summands_and_multiplicities())
+def test_direct_sum_is_block_diagonal(drawn):
+    alg, summands, mults = drawn
+    saved = [[mat.copy() for mat in r.arrow_maps] for r in summands]
+    expanded = [r for r, k in zip(summands, mults) for _ in range(k)]
+    total = direct_sum(alg, summands, mults)
+    assert validate(total) == []
+    assert total.dims == tuple(sum(r.dims[v] for r in expanded)
+                               for v in range(alg.n_vertices))
+    for mat, (rows, ncols) in zip(
+            total.arrow_maps, _block_diagonal_reference(alg, expanded),
+            strict=True):
+        assert mat.dtype == np.int64
+        assert mat.shape == (len(rows), ncols)
+        assert mat.tolist() == rows
+    # the sum owns its arrays: writing into them leaves every summand as is
+    for mat in total.arrow_maps:
+        mat += 1
+    for r, mats in zip(summands, saved):
+        for mat, before in zip(r.arrow_maps, mats, strict=True):
+            assert np.array_equal(mat, before)
+
+
+@pytest.mark.parametrize("mults", [[1], [1, 1, 1, 1], [1, -2, 1],
+                                   [1, 1.0, 1], [1, "1", 1], [1, None, 1]],
+                         ids=["short", "long", "negative", "float", "str",
+                              "none"])
+def test_direct_sum_rejects_bad_multiplicities(a3_algebra, mults):
+    projs = [projective_module(a3_algebra, v) for v in a3_algebra.vertices]
+    with pytest.raises(linalg.MalformedInputError):
+        direct_sum(a3_algebra, projs, mults)
+
+
+def test_direct_sum_takes_numpy_multiplicities(a3_algebra):
+    projs = [projective_module(a3_algebra, v) for v in a3_algebra.vertices]
+    summed = direct_sum(a3_algebra, projs, list(np.array([2, 0, 1])))
+    assert summed.dims == (3, 1, 1)
+
+
+def test_direct_sum_rejects_a_summand_of_the_wrong_shape(a2_algebra):
+    # Representation does not check shapes; validate would report this one
+    bad = Representation(a2_algebra, (2, 2), [linalg.zeros(1, 1)])
+    assert validate(bad)
+    with pytest.raises(linalg.MalformedInputError, match="arrow alpha"):
+        direct_sum(a2_algebra, [simple_module(a2_algebra, "1"), bad])
