@@ -28,6 +28,8 @@ class UndecidableError(RuntimeError):
 class Representation:
     """Immutable by convention: never mutate dims or arrow_maps."""
 
+    _serials = itertools.count()
+
     def __init__(self, algebra: Algebra, dims, arrow_maps, name: str = ""):
         self.algebra = algebra
         self.dims = tuple(int(d) for d in dims)
@@ -35,6 +37,7 @@ class Representation:
             linalg.reduce_mod(m, algebra.p) for m in arrow_maps
         )
         self.name = name
+        self._serial = next(Representation._serials)  # creation order
         self._cache: dict = {}
         if len(self.dims) != algebra.n_vertices:
             raise MalformedInputError("dimension vector has wrong length")
@@ -308,10 +311,13 @@ def hom_space(m: Representation, n: Representation) -> list[Morphism]:
     """Deterministic basis of Hom(M, N)."""
     if m.algebra is not n.algebra:
         raise AlgebraMismatchError("hom_space across different algebras")
-    # Keyed by n itself, so the entry keeps n alive (its morphisms hold n
-    # as target anyway) and no later module can reuse n's id.
-    key = ("hom", n)
-    cached = m._cache.get(key)
+    # Kept by the younger of m and n, keyed by both modules themselves: the
+    # entry keeps only the older one alive (its morphisms hold both anyway),
+    # so a transient module never enters a long-lived module's cache, and
+    # no later module can reuse a cached module's id.
+    cache = (m if m._serial >= n._serial else n)._cache
+    key = ("hom", m, n)
+    cached = cache.get(key)
     if cached is not None:
         return cached
     alg = m.algebra
@@ -348,7 +354,7 @@ def hom_space(m: Representation, n: Representation) -> list[Morphism]:
         maps = [vec[offsets[i]:offsets[i + 1]].reshape(n.dims[i], m.dims[i])
                 for i in range(nv)]
         result.append(Morphism(m, n, maps))
-    m._cache[key] = result
+    cache[key] = result
     return result
 
 

@@ -454,9 +454,10 @@ def test_names_match_isomorphism_reference(name, strategy, dim_bound):
         assert _socle_dims(m) == tuple(s.shape[1] for s in socle)
     if strategy == "brute":
         for m in corpus.members:
-            for key in m._cache:  # the ("hom", n) keys are its tuples
+            for key in m._cache:  # the ("hom", source, target) keys
                 if isinstance(key, tuple):
-                    assert any(key[1] is x for x in corpus.members)
+                    assert all(any(r is x for x in corpus.members)
+                               for r in key[1:])
     assert corpus.names == _names_by_isomorphism(alg, corpus.members)
 
 

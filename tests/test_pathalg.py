@@ -1,7 +1,10 @@
+import copy
 import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from test_corpus import CYCLE2_LENGTH4_F257
 
 from siltlab import zoo
@@ -78,18 +81,104 @@ def test_shipped_algebras_are_associative(build):
     build().build()._check_associativity()
 
 
+def _perturbed(alg, i, j, k, delta):
+    """A copy of alg whose product table has delta added to entry
+    [i, j, k] mod p."""
+    alg = copy.copy(alg)
+    table = alg._products.copy()
+    table[i, j, k] = (table[i, j, k] + delta) % alg.p
+    alg._products = table
+    return alg
+
+
 @pytest.mark.parametrize("build", [
     lambda: zoo.linear_an(4, 3), zoo.nakayama_a3, zoo.cyclic_nakayama_2,
-    zoo.a2,
-], ids=["linear_a4_f3", "nakayama_a3", "cycle2", "a2"])
+    zoo.a2, lambda: zoo.linear_an(5, 3),
+], ids=["linear_a4_f3", "nakayama_a3", "cycle2", "a2", "linear_a5_f3"])
 def test_associativity_check_catches_a_perturbed_product(build):
     """Adding 1 to the e_1 coordinate of e_1 . e_1 breaks associativity
-    (e_1 . e_1 is no longer idempotent), and the check must say so."""
-    alg = build().build()
-    table = alg._products.copy()
-    table[0, 0, 0] = (table[0, 0, 0] + 1) % alg.p
-    alg._products = table
+    (e_1 . e_1 is no longer idempotent), and the check must say so, also
+    on linear A5 (dimension 15), which an earlier dim^3 check skipped."""
+    alg = _perturbed(build().build(), 0, 0, 0, 1)
     with pytest.raises(AlgebraConstructionError, match="not associative"):
+        alg._check_associativity()
+
+
+def _associative_reference(alg) -> bool:
+    """All dim^3 triples at once: (b_i b_j) b_k against b_i (b_j b_k)."""
+    t = alg._products
+    left = np.einsum("ijl,lkm->ijkm", t, t) % alg.p
+    right = np.einsum("jkl,ilm->ijkm", t, t) % alg.p
+    return np.array_equal(left, right)
+
+
+def _paths_reference(alg) -> bool:
+    """Every basis path of length >= 1 is the product of its arrows, folded
+    from the last-traversed arrow by multiplying on the right (the check
+    folds on the left; the two agree on an associative table)."""
+    q = alg.quiver
+    for b, path in enumerate(alg.basis):
+        if not path.arrows:
+            continue
+        classes = [alg.basis_index[Path(q.arrows[ai].source, (ai,))]
+                   for ai in path.arrows]
+        vec = np.zeros(alg.dim, dtype=np.int64)
+        vec[classes[-1]] = 1
+        for k in reversed(classes[:-1]):
+            vec = (vec @ alg._products[:, k, :]) % alg.p
+        expected = np.zeros(alg.dim, dtype=np.int64)
+        expected[b] = 1
+        if not np.array_equal(vec, expected):
+            return False
+    return True
+
+
+_CHECKED = {**zoo.STANDARD_FILES, "linear_a5_f3": lambda: zoo.linear_an(5, 3)}
+_BUILT = {}
+
+
+def _built(name):
+    if name not in _BUILT:
+        _BUILT[name] = _CHECKED[name]().build()
+    return _BUILT[name]
+
+
+@st.composite
+def _perturbations(draw):
+    """A shipped algebra or A5/F3, an entry of its table, and an amount
+    0..p-1 to add to it (0 leaves the table as built)."""
+    name = draw(st.sampled_from(sorted(_CHECKED)))
+    alg = _built(name)
+    entry = tuple(draw(st.integers(0, alg.dim - 1)) for _ in range(3))
+    return name, entry, draw(st.integers(0, alg.p - 1))
+
+
+@settings(max_examples=150)
+@given(_perturbations())
+def test_check_raises_iff_the_dim_cubed_reference_fails(drawn):
+    """The generator check raises exactly when a plain test of all dim^3
+    triples, or of every basis path against its arrows, finds a fault."""
+    name, entry, delta = drawn
+    alg = _perturbed(_built(name), *entry, delta)
+    if _associative_reference(alg) and _paths_reference(alg):
+        alg._check_associativity()
+    else:
+        with pytest.raises(AlgebraConstructionError):
+            alg._check_associativity()
+
+
+@pytest.mark.parametrize("delta", [1, 2])
+def test_check_catches_an_associative_table_with_a_wrong_path(delta):
+    """On A3 over F3, a1 . a2 = a1*a2 is entry [3, 4, 5]; changing it keeps
+    the table associative, but a1*a2 is no longer the product of its
+    arrows, which a test of the dim^3 triples alone would accept."""
+    alg = _perturbed(zoo.linear_an(3, 3).build(), 3, 4, 5, delta)
+    assert [path.label(alg.quiver) for path in alg.basis[3:]] == [
+        "a1", "a2", "a1*a2"]
+    assert _associative_reference(alg)
+    assert not _paths_reference(alg)
+    with pytest.raises(AlgebraConstructionError,
+                       match=r"basis path a1\*a2 is not the product"):
         alg._check_associativity()
 
 

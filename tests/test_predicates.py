@@ -1,4 +1,6 @@
+import gc
 import sys
+import weakref
 
 import numpy as np
 import pytest
@@ -291,7 +293,8 @@ def _record_hom_solves(monkeypatch):
     solved = []
 
     def recording(m, n):
-        if not m.is_zero() and ("hom", n) not in m._cache:
+        younger = max(m, n, key=lambda r: r._serial)
+        if not m.is_zero() and ("hom", m, n) not in younger._cache:
             solved.append((m, n))
         return original(m, n)
 
@@ -327,6 +330,26 @@ def test_second_classify_sweep_solves_no_hom_system(a3_parsed, monkeypatch):
     solved = _record_hom_solves(monkeypatch)
     assert harness.classify(wb) == first
     assert solved == []
+
+
+def test_t3_cokernel_dies_with_the_call(a3_parsed, monkeypatch):
+    """T3 decomposes its cokernel over T's summands, which solves Hom
+    systems between the members and that transient module; their bases
+    stay with the younger module, so no member keeps the cokernel alive."""
+    wb = harness.load_workbench(a3_parsed)
+    built = []
+
+    def recording(f):
+        out = reps.cokernel(f)
+        built.append(weakref.ref(out[0]))
+        return out
+
+    monkeypatch.setattr(predicates, "cokernel", recording)
+    assert wb.t3(cand(wb, "S2", "P2", "P3"))
+    (coker,) = built
+    assert not coker().is_zero()
+    gc.collect()
+    assert coker() is None
 
 
 def test_ext_resolves_only_the_terms_it_reads(alg_dir):
