@@ -9,6 +9,7 @@ indecomposable summands lie in the supplied corpus.
 from __future__ import annotations
 
 import itertools
+import math
 from collections.abc import Collection, Sequence
 from dataclasses import dataclass, replace
 
@@ -20,7 +21,6 @@ from .homology import ext_dim
 from .reps import (
     Representation,
     UndecidableError,
-    coefficient_vectors,
     combination,
     hom_space,
     quotient_representation,
@@ -63,51 +63,52 @@ def gen_contains(t: Representation, m: Representation) -> bool:
 # Pres
 
 
-# The Pres fallback tries all p**(d*r) coefficient matrices iff they number
-# at most this; beyond it, it refuses.
+# The Pres search tries the subspace tuples of a level iff the tuples up to
+# that level number at most this; beyond it, it refuses.
 SEARCH_CAP = 1 << 16
 
 
-def _column_space_signatures(d: int, r: int, p: int):
-    """Full-column-rank coefficient matrices d x r, one per column space."""
-    seen: set[bytes] = set()
-    for flat in coefficient_vectors(d * r, p):
-        c = np.array(flat, dtype=np.int64).reshape(d, r)
-        if linalg.rank(c, p) != r:
-            continue
-        key = linalg.column_space_basis(c, p).tobytes()
-        if key in seen:
-            continue
-        seen.add(key)
-        yield c
+def _subspaces(h: int, k: int, p: int):
+    """The k-dimensional subspaces of F_p^h, each as the k x h matrix in
+    reduced row echelon form whose rows span it: one per choice of pivot
+    columns and of the entries right of a pivot outside pivot columns."""
+    for pivots in itertools.combinations(range(h), k):
+        free = [(row, col) for row, pivot in enumerate(pivots)
+                for col in range(pivot + 1, h) if col not in pivots]
+        for values in itertools.product(range(p), repeat=len(free)):
+            w = linalg.zeros(k, h)
+            w[list(range(k)), list(pivots)] = 1
+            for (row, col), v in zip(free, values):
+                w[row, col] = v
+            yield w
 
 
-def _evaluation(components, m: Representation) -> list[np.ndarray]:
-    """Vertex maps of (phi_k): T0 = sum_k T_(i_k) -> M."""
-    return [np.hstack([linalg.zeros(d, 0)]
-                      + [phi.vertex_maps[vi] for _, phi in components])
-            for vi, d in enumerate(m.dims)]
-
-
-def _is_epi(components, m: Representation) -> bool:
-    p = m.algebra.p
-    return all(linalg.rank(e, p) == d
-               for e, d in zip(_evaluation(components, m), m.dims))
+def _gaussian_binomial(h: int, k: int, p: int) -> int:
+    """[h choose k]_p, the number of k-dimensional subspaces of F_p^h."""
+    count = 1
+    for j in range(k):
+        count = count * (p ** (h - j) - 1) // (p ** (j + 1) - 1)
+    return count
 
 
 def _kernel_in_gen(summands: Sequence[Representation], components,
-                   m: Representation) -> bool:
-    """Is the kernel K of (phi_k): T0 = sum_k T_(i_k) -> M in Gen T?
+                   m: Representation) -> bool | None:
+    """Is the kernel K of (phi_k): T0 = sum_k T_(i_k) -> M in Gen T?  None
+    when the map is not onto.
 
     ``components`` lists pairs (i_k, phi_k) with phi_k in Hom(T_(i_k), M).
     Hom(T_i, -) is left exact, so Hom(T_i, K) is the kernel of
     g -> sum_k phi_k g_k on Hom(T_i, T0) = sum_k Hom(T_i, T_(i_k)), and the
     images of those g span the trace of T in K inside T0.  K lies in Gen T
-    iff at every vertex that span has dimension dim T0_v - rank(phi_v).
+    iff at every vertex that span has dimension dim T0_v - dim M_v.
     Neither T0 nor K is built.
     """
     p = m.algebra.p
-    evaluation = _evaluation(components, m)
+    evaluation = [np.hstack([linalg.zeros(d, 0)]
+                            + [phi.vertex_maps[vi] for _, phi in components])
+                  for vi, d in enumerate(m.dims)]
+    if any(linalg.rank(e, p) != d for e, d in zip(evaluation, m.dims)):
+        return None
     targets = [summands[i] for i, _ in components]
     offsets = [[0, *itertools.accumulate(x.dims[vi] for x in targets)]
                for vi in range(len(m.dims))]
@@ -135,8 +136,8 @@ def _kernel_in_gen(summands: Sequence[Representation], components,
                         % p)
     return all(
         linalg.rank(np.hstack([linalg.zeros(off[-1], 0), *spans]), p)
-        == off[-1] - linalg.rank(e, p)
-        for off, spans, e in zip(offsets, traces, evaluation))
+        == off[-1] - d
+        for off, spans, d in zip(offsets, traces, m.dims))
 
 
 def pres_contains(summands: Sequence[Representation],
@@ -144,53 +145,53 @@ def pres_contains(summands: Sequence[Representation],
     """Is M the cokernel of a map between finite Add-T sums, for T the
     direct sum of ``summands``?
 
-    Canonical route: the evaluation map T^d -> M over a basis of
-    Hom(T, M) = sum Hom(T_i, M), d its dimension, with its kernel tested
-    for Gen-membership.  After an automorphism of T^d that map is the sum
-    of the basis maps of the Hom(T_i, M) plus copies of the T_i mapped by
-    zero; those copies lie in Gen T, so only the former is tested.  When
-    that fails, every column space of d x r coefficient matrices over the
-    concatenated bases is tried for r < d (any Add-T presentation reduces
-    to one of these by splitting off redundant copies; r = d is the
-    canonical map again, so it is not retried), each column split into its
-    nonzero per-summand parts.  Kernels are tested by left exactness
+    After an automorphism of each T_i^(m_i), an epi sum_i T_i^(m_i) -> M
+    is the sum of a basis of the span W_i of its components in
+    Hom(T_i, M) and of zero maps, which only add copies of T_i to the
+    kernel.  So tuples of subspaces (W_i) are searched: first the full one,
+    the canonical map over a basis of Hom(T, M), then level r = 1, 2, ...,
+    the other tuples with max dim W_i = r, in reduced echelon form; the
+    first level with a cover is the least number of copies of T needed.
+    Before level r, past ``SEARCH_CAP`` tuples up to it
+    (prod_i sum_(k <= r) [h_i choose k]_p, h_i = dim Hom(T_i, M)), it
+    raises ``UndecidableError``.  Kernels are tested by left exactness
     (``_kernel_in_gen``), so no direct sum and no kernel module is built.
     """
     if m.is_zero():
         return MembershipWitness(True, {"route": "zero"})
     bases = [hom_space(t, m) for t in summands]
     canonical = [(i, f) for i, basis in enumerate(bases) for f in basis]
-    if not _is_epi(canonical, m):
+    in_gen = _kernel_in_gen(summands, canonical, m)
+    if in_gen is None:
         return MembershipWitness(False, {"reason": "not in Gen T"})
     d = len(canonical)
-    p = m.algebra.p
-    if _kernel_in_gen(summands, canonical, m):
+    if in_gen:
         return MembershipWitness(True, {"route": "canonical", "copies": d})
-    splits = list(itertools.accumulate(len(b) for b in bases))[:-1]
-    for r in range(1, d):
-        if p ** (d * r) > SEARCH_CAP:
+    p = m.algebra.p
+    hs = [len(basis) for basis in bases]
+    # spaces[i] pairs each subspace W_i met so far with its dimension and
+    # the components (i, phi) of its basis
+    spaces = [[(0, [])] for _ in bases]
+    for r in range(1, max(hs) + 1):
+        if math.prod(sum(_gaussian_binomial(h, k, p)
+                         for k in range(min(r, h) + 1))
+                     for h in hs) > SEARCH_CAP:
             raise UndecidableError(
-                "Pres-membership fallback search space exceeds the cap"
-            )
-        for coeffs in _column_space_signatures(d, r, p):
-            components = [
-                (i, combination(basis, part))
-                for col in coeffs.T
-                for i, (basis, part) in enumerate(
-                    zip(bases, np.split(col, splits)))
-                if part.any()
-            ]
-            if not _is_epi(components, m):
+                "Pres-membership search space exceeds the cap")
+        for i, basis in enumerate(bases):
+            spaces[i] += [(r, [(i, combination(basis, row)) for row in w])
+                          for w in _subspaces(len(basis), r, p)]
+        for choice in itertools.product(*spaces):
+            dims = [k for k, _ in choice]
+            if max(dims) != r or dims == hs:
                 continue
+            components = [c for _, parts in choice for c in parts]
             if _kernel_in_gen(summands, components, m):
                 return MembershipWitness(
-                    True, {"route": "fallback", "copies": r}
-                )
+                    True, {"route": "fallback", "copies": r})
     return MembershipWitness(
-        False,
-        {"reason": "no Add-T cover has Gen-T kernel",
-         "copies_tried": d},
-    )
+        False, {"reason": "no Add-T cover has Gen-T kernel",
+                "copies_tried": d})
 
 
 # ---------------------------------------------------------------------------
@@ -223,6 +224,9 @@ def perp_contains(t: Representation, m: Representation,
     """Right: Ext^i(T, M) = 0 for i in degrees; left: Ext^i(M, T) = 0."""
     if not degrees or any(i < 0 for i in degrees):
         raise linalg.MalformedInputError("degrees must be nonempty, >= 0")
+    if side not in ("right", "left"):
+        raise linalg.MalformedInputError(
+            f"side must be 'right' or 'left', got {side!r}")
     for i in sorted(degrees):
         dim = (ext_dim(i, t, m) if side == "right" else ext_dim(i, m, t))
         if dim:

@@ -707,12 +707,6 @@ def is_indecomposable(m: Representation) -> bool:
 # isomorphism testing
 
 
-def coefficient_vectors(h: int, p: int):
-    """The nonzero coefficient vectors for a Hom basis of dimension h, in
-    itertools.product order."""
-    return itertools.islice(itertools.product(range(p), repeat=h), 1, None)
-
-
 def combination(basis: list[Morphism], coeffs) -> Morphism:
     """The morphism sum_k c_k f_k over a nonempty Hom basis."""
     first = basis[0]
@@ -771,7 +765,6 @@ __all__ = [
     "Morphism",
     "Representation",
     "UndecidableError",
-    "coefficient_vectors",
     "cokernel",
     "combination",
     "composition_factors",

@@ -1,4 +1,5 @@
 import pathlib
+import sys
 
 import pytest
 from hypothesis import settings
@@ -28,6 +29,22 @@ def decompose_or_none(m, corpus):
         return decompose(m, corpus)
     except NoDecompositionError:
         return None
+
+
+def count_calls(monkeypatch, module, attr):
+    """Wrap module.attr in every siltlab module that binds it; return the
+    list of argument tuples it is called with."""
+    original = getattr(module, attr)
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    for name, sub in list(sys.modules.items()):
+        if name.startswith("siltlab.") and vars(sub).get(attr) is original:
+            monkeypatch.setattr(sub, attr, counting)
+    return calls
 
 
 @pytest.fixture(scope="session")

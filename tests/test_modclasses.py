@@ -1,10 +1,13 @@
 import functools
+import itertools
 import math
 from dataclasses import replace
 
 import numpy as np
 import pytest
-from conftest import whole_sum
+from conftest import count_calls, whole_sum
+from hypothesis import given
+from hypothesis import strategies as st
 
 from siltlab import linalg, modclasses, zoo
 from siltlab.harness import load_workbench
@@ -116,6 +119,12 @@ def test_perp_bad_degrees(a2_algebra):
         perp_contains(p2, p2, set())
 
 
+def test_perp_rejects_unknown_side(a2_algebra):
+    p2 = projective_module(a2_algebra, "2")
+    with pytest.raises(linalg.MalformedInputError):
+        perp_contains(p2, p2, {1}, side="up")
+
+
 def test_left_perp0_of_gen(a2_wb):
     wb = a2_wb
     p2 = wb.members[wb.corpus.index_of("P2")]
@@ -222,7 +231,14 @@ def _whole_sum_pres_contains(t, m, cap=SEARCH_CAP):
 
 @functools.cache
 def _signatures(d, r, p):
-    return list(modclasses._column_space_signatures(d, r, p))
+    """Full-column-rank d x r coefficient matrices, one per column space,
+    in itertools.product order."""
+    spaces = {}
+    for flat in itertools.product(range(p), repeat=d * r):
+        c = np.array(flat, dtype=np.int64).reshape(d, r)
+        if linalg.rank(c, p) == r:
+            spaces.setdefault(linalg.column_space_basis(c, p).tobytes(), c)
+    return list(spaces.values())
 
 
 def _outcome(fn, *args):
@@ -239,6 +255,11 @@ def a3_f3_wb():
 
 
 @pytest.fixture(scope="module")
+def a3_f17_wb():
+    return load_workbench(zoo.linear_an(3, 17))
+
+
+@pytest.fixture(scope="module")
 def a3_f257_wb():
     return load_workbench(zoo.linear_an(3, 257))
 
@@ -246,16 +267,29 @@ def a3_f257_wb():
 @pytest.mark.parametrize("fixture,max_summands", [
     ("a2_wb", None), ("a3_wb", None), ("nak3_wb", None), ("cyc2_wb", None),
     ("a4_wb", 2), ("a3_f3_wb", None), ("a3_f257_wb", None)])
-def test_pres_contains_matches_whole_sum(request, fixture, max_summands):
+def test_pres_contains_matches_whole_sum(request, fixture, max_summands,
+                                        a3_f17_wb):
+    """Where the reference refuses (8 pairs over A3/F257), pres_contains
+    decides as it does on the same named pair over A3/F17, which
+    test_pres_fallback_skips_the_canonical_round ties to the reference."""
     wb = request.getfixturevalue(fixture)
+    small = a3_f17_wb
+    refused = 0
     for c in wb.all_candidates(max_summands):
         t = whole_sum(wb, c)
         summands = [wb.members[i] for i in c]
         for j in wb.gen_set(c):
             m = wb.members[j]
-            assert (_outcome(pres_contains, summands, m)
-                    == _outcome(_whole_sum_pres_contains, t, m)), (
-                wb.candidate_name(c), wb.names[j])
+            got = _outcome(pres_contains, summands, m)
+            expected = _outcome(_whole_sum_pres_contains, t, m)
+            if expected == "raises":
+                refused += 1
+                c17 = tuple(small.corpus.index_of(wb.names[i]) for i in c)
+                expected = _outcome(
+                    pres_contains, [small.members[i] for i in c17],
+                    small.members[small.corpus.index_of(wb.names[j])])
+            assert got == expected, (wb.candidate_name(c), wb.names[j])
+    assert refused == (8 if fixture == "a3_f257_wb" else 0)
 
 
 @pytest.mark.parametrize("fixture,names", [
@@ -273,11 +307,37 @@ def test_pres_contains_fallback_route(request, fixture, names):
     assert _outcome(_whole_sum_pres_contains, whole_sum(wb, c), m) == expected
 
 
-def test_pres_contains_fallback_cap_raises(a3_f257_wb):
+def test_pres_contains_fallback_cap_raises(a3_f257_wb, monkeypatch):
+    """Over A3/F257 with T = S2^c + P3 for c = 3, 4, the canonical cover of
+    I2 has its kernel outside Gen T, and the tuples of level 1 alone number
+    (1 + [c choose 1]_257) * 2, past the cap: the search raises without
+    testing another kernel."""
     wb = a3_f257_wb
-    summands = [wb.members[wb.corpus.index_of(n)] for n in ("S2", "P3")]
-    with pytest.raises(UndecidableError):
-        pres_contains(summands, wb.members[wb.corpus.index_of("I2")])
+    s2, p3, i2 = (wb.members[wb.corpus.index_of(n)]
+                  for n in ("S2", "P3", "I2"))
+    calls = count_calls(monkeypatch, modclasses, "_kernel_in_gen")
+    for copies, level_one in [(3, 132_616), (4, 34_081_802)]:
+        assert (1 + (257 ** copies - 1) // 256) * 2 == level_one > SEARCH_CAP
+        summands = [direct_sum(wb.algebra, [s2], [copies]), p3]
+        with pytest.raises(UndecidableError):
+            pres_contains(summands, i2)
+        assert len(calls) == 1
+        del calls[:]
+
+
+@given(h=st.integers(0, 4), p=st.sampled_from([2, 3, 5]), data=st.data())
+def test_subspaces_are_echelon_and_distinct(h, p, data):
+    """_subspaces(h, k, p) yields [h choose k]_p matrices, each its own
+    reduced echelon form, with pairwise distinct row spaces."""
+    k = data.draw(st.integers(0, h))
+    spaces = list(modclasses._subspaces(h, k, p))
+    assert len(spaces) == modclasses._gaussian_binomial(h, k, p)
+    keys = set()
+    for w in spaces:
+        assert w.shape == (k, h) and linalg.rank(w, p) == k
+        assert np.array_equal(linalg.row_reduce(w, p).rref, w)
+        keys.add(w.tobytes())
+    assert len(keys) == len(spaces)
 
 
 # Over A3/F17 these (candidate, Gen member) pairs have d = dim Hom(T, M) = 2

@@ -4,7 +4,7 @@ import weakref
 
 import numpy as np
 import pytest
-from conftest import decompose_or_none, whole_sum
+from conftest import count_calls, decompose_or_none, whole_sum
 
 from siltlab import harness, linalg, modclasses, predicates, reps
 from siltlab.algfile import load_algebra_file
@@ -235,26 +235,10 @@ def test_coevaluation_matches_whole_sum(request, fixture, max_summands):
 # work counters
 
 
-def _count_calls(monkeypatch, module, attr):
-    """Wrap module.attr in every siltlab module that binds it; return the
-    list of argument tuples it is called with."""
-    original = getattr(module, attr)
-    calls = []
-
-    def counting(*args, **kwargs):
-        calls.append(args)
-        return original(*args, **kwargs)
-
-    for name, sub in list(sys.modules.items()):
-        if name.startswith("siltlab.") and vars(sub).get(attr) is original:
-            monkeypatch.setattr(sub, attr, counting)
-    return calls
-
-
 def test_subfac_facsub_computed_once_per_member_and_vertex(a3_wb,
                                                           monkeypatch):
     wb = Workbench(a3_wb.corpus)
-    calls = _count_calls(monkeypatch, modclasses, "subfac_facsub")
+    calls = count_calls(monkeypatch, modclasses, "subfac_facsub")
     first = harness.classify(wb)
     keys = [(next(i for i, m in enumerate(wb.members) if m is t),
              s.dims.index(1)) for t, s in calls]
@@ -267,7 +251,7 @@ def test_subfac_facsub_computed_once_per_member_and_vertex(a3_wb,
 
 def test_sincerity_square_builds_no_direct_sum(a3_wb, monkeypatch):
     wb = Workbench(a3_wb.corpus)
-    calls = _count_calls(monkeypatch, reps, "direct_sum")
+    calls = count_calls(monkeypatch, reps, "direct_sum")
     for c in wb.all_candidates():
         for predicate in (is_sincere, is_cosincere,
                           satisfies_subfac, satisfies_facsub):
@@ -278,8 +262,8 @@ def test_sincerity_square_builds_no_direct_sum(a3_wb, monkeypatch):
 def test_gen_eq_pres_builds_no_direct_sum(a3_wb, monkeypatch):
     # a fresh Workbench first: its constructor builds R with direct_sum
     wb = Workbench(a3_wb.corpus)
-    sums = _count_calls(monkeypatch, reps, "direct_sum")
-    factorizations = _count_calls(monkeypatch, reps, "factorize")
+    sums = count_calls(monkeypatch, reps, "direct_sum")
+    factorizations = count_calls(monkeypatch, reps, "factorize")
     for c in wb.all_candidates():
         wb.gen_eq_pres(c)
     assert sums == []
