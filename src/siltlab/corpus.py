@@ -151,7 +151,6 @@ def _all_representations(algebra: Algebra, dim_bound: int):
     digit table of p**l rows.  Every relation is evaluated on the whole
     block at once, and only the rows where all of them act as zero become
     Representations."""
-    q = algebra.quiver
     p = algebra.p
     nv = algebra.n_vertices
     low_max = 0
@@ -162,11 +161,7 @@ def _all_representations(algebra: Algebra, dim_bound: int):
         for dims in itertools.product(range(total + 1), repeat=nv):
             if sum(dims) != total:
                 continue
-            shapes = []
-            for a in q.arrows:
-                u = q.vertex_index(a.source)
-                w = q.vertex_index(a.target)
-                shapes.append((dims[w], dims[u]))
+            shapes = [(dims[w], dims[u]) for u, w in algebra.arrow_ends]
             n = sum(r * c for r, c in shapes)
             low = min(low_max, n)
             # product order of the last `low` entries: the tail of the

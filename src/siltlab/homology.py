@@ -1,6 +1,9 @@
 """Projective covers, minimal presentations and resolutions, injective
 envelopes, Ext groups and surjectivity of Hom along a presentation.
 
+The injective side is not computed on its own: the injective envelope of
+M is the dual of the projective cover of D M over the opposite algebra.
+
 All covers are minimal (kernels land in the radical), so projective
 dimension reads off as the index of the last nonzero resolution term.
 Possibly-infinite dimensions are reported as undecided at the bound,
@@ -19,17 +22,14 @@ from .reps import (
     Morphism,
     Representation,
     direct_sum,
+    dual,
     hom_dim,
     hom_from_projective,
     hom_space,
-    injective_layout,
-    injective_module,
     kernel,
-    morphism_into_sum,
     morphism_out_of_sum,
     projective_module,
     radical_spans,
-    socle_spans,
     zero_morphism,
     zero_representation,
 )
@@ -207,42 +207,11 @@ def respects_presentation(pres: ProjectivePresentation,
 
 
 def injective_envelope(m: Representation) -> Morphism:
-    """Essential monomorphism M -> E with E = sum of I(v) over soc M."""
-    cached = m._cache.get("injective_envelope")
-    if cached is not None:
-        return cached
-    alg = m.algebra
-    p = alg.p
-    soc = socle_spans(m)
-    parts_data: list[tuple[str, np.ndarray]] = []
-    for vi, v in enumerate(alg.vertices):
-        basis = linalg.column_space_basis(soc[vi], p)
-        s = basis.shape[1]
-        if s == 0:
-            continue
-        _, change = linalg.basis_complement(basis)
-        inv = linalg.invert(change, p)
-        for j in range(s):
-            # functional dual to the j-th socle basis vector, vanishing on
-            # the complement
-            parts_data.append((v, inv[j, :]))
-    injs = [injective_module(alg, v) for v, _ in parts_data]
-    parts = []
-    for (v, lam), iv in zip(parts_data, injs):
-        layout = injective_layout(alg, v)
-        maps = []
-        for ui, u in enumerate(alg.vertices):
-            rows = []
-            for path in layout[u]:
-                rows.append((lam @ m.path_action(path)) % p)
-            if rows:
-                maps.append(np.stack(rows, axis=0))
-            else:
-                maps.append(linalg.zeros(0, m.dims[ui]))
-        parts.append(Morphism(m, iv, maps))
-    env = morphism_into_sum(m, direct_sum(alg, injs), parts)
-    m._cache["injective_envelope"] = env
-    return env
+    """Essential monomorphism M -> E with E = sum of I(v) over soc M: the
+    dual of the projective cover of D M, as D takes soc M to top D M."""
+    cover = projective_cover(dual(m))
+    return Morphism(m, dual(cover.source),
+                    [f.T for f in cover.vertex_maps])
 
 
 __all__ = [

@@ -171,7 +171,32 @@ class Algebra:
         self.quiver = quiver
         self.relations = relations
         self.p = p
+        # (source, target) vertex indices of each arrow, in arrow order
+        self.arrow_ends = tuple(
+            (quiver.vertex_index(a.source), quiver.vertex_index(a.target))
+            for a in quiver.arrows)
+        self._opposite: Algebra | None = None
         self._build()
+
+    @property
+    def opposite(self) -> Algebra:
+        """A^op: every arrow and every relation path reversed, the arrow
+        order and the coefficients kept.  Built on first use and kept;
+        its opposite is this algebra."""
+        if self._opposite is None:
+            q = self.quiver
+            arrows = tuple(Arrow(a.name, a.target, a.source) for a in q.arrows)
+            relations = tuple(
+                tuple((c, Path(path.end_in(q), path.arrows[::-1]))
+                      for c, path in rel)
+                for rel in self.relations.relations)
+            op = Algebra(Quiver(q.vertices, arrows),
+                         RelationSet(relations,
+                                     self.relations.nilpotency_bound),
+                         self.p)
+            op._opposite = self
+            self._opposite = op
+        return self._opposite
 
     # -- construction -------------------------------------------------
 

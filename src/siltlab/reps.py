@@ -4,6 +4,8 @@ A representation assigns a vector space over F_p to each vertex and a
 matrix to each arrow; a morphism is a family of vertex matrices making
 every arrow square commute.  Kernels, images, cokernels, direct sums,
 Hom spaces and isomorphism testing all reduce to exact linear algebra.
+The duality D takes modules to modules over the opposite algebra, and
+the injective modules are the duals of its projectives.
 """
 
 from __future__ import annotations
@@ -43,6 +45,13 @@ class Representation:
             raise MalformedInputError("dimension vector has wrong length")
         if len(self.arrow_maps) != len(algebra.quiver.arrows):
             raise MalformedInputError("one matrix per arrow required")
+        d = self.dims
+        for arrow, mat, (u, w) in zip(algebra.quiver.arrows, self.arrow_maps,
+                                      algebra.arrow_ends):
+            if mat.shape != (d[w], d[u]):
+                raise MalformedInputError(
+                    f"arrow {arrow.name}: matrix shape {mat.shape}, "
+                    f"expected {(d[w], d[u])}")
 
     @property
     def total_dim(self) -> int:
@@ -86,9 +95,7 @@ class Morphism:
 
     def is_natural(self) -> bool:
         alg = self.source.algebra
-        for ai, arrow in enumerate(alg.quiver.arrows):
-            u = alg.quiver.vertex_index(arrow.source)
-            w = alg.quiver.vertex_index(arrow.target)
+        for ai, (u, w) in enumerate(alg.arrow_ends):
             lhs = linalg.matmul(self.target.arrow_maps[ai],
                                 self.vertex_maps[u], alg.p)
             rhs = linalg.matmul(self.vertex_maps[w],
@@ -150,17 +157,6 @@ def validate(m: Representation) -> list[str]:
     problems: list[str] = []
     alg = m.algebra
     q = alg.quiver
-    for ai, arrow in enumerate(q.arrows):
-        u = q.vertex_index(arrow.source)
-        w = q.vertex_index(arrow.target)
-        mat = m.arrow_maps[ai]
-        if mat.shape != (m.dims[w], m.dims[u]):
-            problems.append(
-                f"arrow {arrow.name}: matrix shape {mat.shape}, expected "
-                f"{(m.dims[w], m.dims[u])}"
-            )
-    if problems:
-        return problems
     acting = relations_acting(alg, [mat[np.newaxis] for mat in m.arrow_maps])
     for rel, hit in zip(alg.relations.relations, acting[:, 0]):
         if hit:
@@ -205,11 +201,7 @@ def simple_module(algebra: Algebra, v: str) -> Representation:
     q = algebra.quiver
     vi = q.vertex_index(v)
     dims = [1 if i == vi else 0 for i in range(algebra.n_vertices)]
-    maps = []
-    for arrow in q.arrows:
-        u = q.vertex_index(arrow.source)
-        w = q.vertex_index(arrow.target)
-        maps.append(linalg.zeros(dims[w], dims[u]))
+    maps = [linalg.zeros(dims[w], dims[u]) for u, w in algebra.arrow_ends]
     return Representation(algebra, dims, maps, name=f"S({v})")
 
 
@@ -237,38 +229,19 @@ def projective_module(algebra: Algebra, v: str) -> Representation:
     return Representation(algebra, dims, maps, name=f"P({v})")
 
 
+def dual(m: Representation) -> Representation:
+    """D M = Hom_k(M, k) over the opposite algebra: the same dimension
+    vector, each arrow acting by the transpose of its matrix."""
+    return Representation(m.algebra.opposite, m.dims,
+                          [mat.T for mat in m.arrow_maps])
+
+
 def injective_module(algebra: Algebra, v: str) -> Representation:
-    """Dual of e_v R: basis dual to the classes of paths with target v."""
-    q = algebra.quiver
-    paths = algebra.paths_into(v)
-    by_vertex: dict[str, list[int]] = {u: [] for u in q.vertices}
-    for bi, path in paths:
-        by_vertex[path.start].append(bi)
-    dims = [len(by_vertex[u]) for u in q.vertices]
-    maps = []
-    for arrow in q.arrows:
-        # transpose of right multiplication by the arrow:
-        # paths target->v  composed with the arrow give paths source->v
-        arrow_class_path = Path(arrow.source, (q.arrow_index(arrow.name),))
-        src_list = by_vertex[arrow.source]  # paths source -> v
-        tgt_list = by_vertex[arrow.target]  # paths target -> v
-        rm = linalg.zeros(len(src_list), len(tgt_list))
-        arrow_ci = algebra.basis_index[arrow_class_path]
-        for col, bi in enumerate(tgt_list):
-            prod = algebra.mult(bi, arrow_ci)  # traverse arrow, then path
-            for row, bj in enumerate(src_list):
-                rm[row, col] = prod[bj]
-        maps.append(rm.T.copy())
-    return Representation(algebra, dims, maps, name=f"I({v})")
-
-
-def injective_layout(algebra: Algebra, v: str) -> dict[str, list[Path]]:
-    """Paths with target v grouped by source, in the basis order used by
-    injective_module's coordinate spaces."""
-    by_vertex: dict[str, list[Path]] = {u: [] for u in algebra.vertices}
-    for _, path in algebra.paths_into(v):
-        by_vertex[path.start].append(path)
-    return by_vertex
+    """I(v) = D P(v) for P(v) over the opposite algebra: its basis is dual
+    to the classes of paths of A^op with source v."""
+    iv = dual(projective_module(algebra.opposite, v))
+    iv.name = f"I({v})"
+    return iv
 
 
 def regular_module(algebra: Algebra) -> Representation:
@@ -322,7 +295,6 @@ def hom_space(m: Representation, n: Representation) -> list[Morphism]:
         return cached
     alg = m.algebra
     p = alg.p
-    q = alg.quiver
     nv = alg.n_vertices
     offsets = [0, *itertools.accumulate(
         n.dims[i] * m.dims[i] for i in range(nv))]
@@ -330,9 +302,7 @@ def hom_space(m: Representation, n: Representation) -> list[Morphism]:
     # equation N_a f_u - f_w M_a = 0 for each arrow a: u -> w, one row per
     # entry (i, j) of the n_w x m_u result, with row-major vec(f_v)
     rows = []
-    for ai, arrow in enumerate(q.arrows):
-        u = q.vertex_index(arrow.source)
-        w = q.vertex_index(arrow.target)
+    for ai, (u, w) in enumerate(alg.arrow_ends):
         mu, mw = m.dims[u], m.dims[w]
         n_a = n.arrow_maps[ai].tolist()
         m_a_cols = m.arrow_maps[ai].T.tolist()
@@ -378,13 +348,10 @@ def sub_representation(n: Representation, spans: list[np.ndarray]):
     """
     alg = n.algebra
     p = alg.p
-    q = alg.quiver
     basis = _canonical_spans(n, spans)
     dims = [b.shape[1] for b in basis]
     maps = []
-    for ai, arrow in enumerate(q.arrows):
-        u = q.vertex_index(arrow.source)
-        w = q.vertex_index(arrow.target)
+    for ai, (u, w) in enumerate(alg.arrow_ends):
         rhs = linalg.matmul(n.arrow_maps[ai], basis[u], p)
         sol = linalg.solve(basis[w], rhs, p)
         if sol is None:
@@ -402,7 +369,6 @@ def quotient_representation(n: Representation, spans: list[np.ndarray]):
     """
     alg = n.algebra
     p = alg.p
-    q = alg.quiver
     projections = []
     sections = []
     for b in _canonical_spans(n, spans):
@@ -411,9 +377,7 @@ def quotient_representation(n: Representation, spans: list[np.ndarray]):
         sections.append(comp)
     dims = [pr.shape[0] for pr in projections]
     maps = []
-    for ai, arrow in enumerate(q.arrows):
-        u = q.vertex_index(arrow.source)
-        w = q.vertex_index(arrow.target)
+    for ai, (u, w) in enumerate(alg.arrow_ends):
         mat = linalg.matmul(
             projections[w],
             linalg.matmul(n.arrow_maps[ai], sections[u], p), p)
@@ -511,21 +475,13 @@ def direct_sum(algebra: Algebra, reps: list[Representation],
         expanded.extend([rep] * mult)
     nv = algebra.n_vertices
     dims = [sum(r.dims[i] for r in expanded) for i in range(nv)]
-    q = algebra.quiver
     maps = []
-    for ai, arrow in enumerate(q.arrows):
-        u = q.vertex_index(arrow.source)
-        w = q.vertex_index(arrow.target)
+    for ai, (u, w) in enumerate(algebra.arrow_ends):
         mat = linalg.zeros(dims[w], dims[u])
         r0 = c0 = 0
         for r in expanded:
             rows, cols = r.dims[w], r.dims[u]
-            block = r.arrow_maps[ai]
-            if block.shape != (rows, cols):
-                raise MalformedInputError(
-                    f"summand {r!r}: arrow {arrow.name} has shape "
-                    f"{block.shape}, expected {(rows, cols)}")
-            mat[r0:r0 + rows, c0:c0 + cols] = block
+            mat[r0:r0 + rows, c0:c0 + cols] = r.arrow_maps[ai]
             r0 += rows
             c0 += cols
         maps.append(mat)
@@ -564,11 +520,8 @@ def radical_of_spans(m: Representation,
     M_a U_u, for U given by per-vertex spans.  When U is a submodule, so
     is J.U."""
     alg = m.algebra
-    q = alg.quiver
     pushed = [[linalg.zeros(d, 0)] for d in m.dims]
-    for ai, arrow in enumerate(q.arrows):
-        u = q.vertex_index(arrow.source)
-        w = q.vertex_index(arrow.target)
+    for ai, (u, w) in enumerate(alg.arrow_ends):
         pushed[w].append(linalg.matmul(m.arrow_maps[ai], spans[u], alg.p))
     return [linalg.column_space_basis(np.hstack(c), alg.p) for c in pushed]
 
@@ -579,12 +532,11 @@ def _in_out_maps(m: Representation) -> list[tuple[np.ndarray, np.ndarray]]:
     of v stacked, (their target dimensions) x d_v, in arrow order; a loop
     at v is in both.  rad M at v is the column span of In_v and soc M at v
     the kernel of Out_v."""
-    q = m.algebra.quiver
     ins = [[linalg.zeros(d, 0)] for d in m.dims]
     outs = [[linalg.zeros(0, d)] for d in m.dims]
-    for mat, a in zip(m.arrow_maps, q.arrows):
-        ins[q.vertex_index(a.target)].append(mat)
-        outs[q.vertex_index(a.source)].append(mat)
+    for mat, (u, w) in zip(m.arrow_maps, m.algebra.arrow_ends):
+        ins[w].append(mat)
+        outs[u].append(mat)
     return [(np.hstack(i), np.vstack(o)) for i, o in zip(ins, outs)]
 
 
@@ -769,6 +721,7 @@ __all__ = [
     "combination",
     "composition_factors",
     "direct_sum",
+    "dual",
     "factorize",
     "hom_dim",
     "hom_from_projective",

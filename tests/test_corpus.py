@@ -161,7 +161,7 @@ LOCAL_LOOP_F3 = LOCAL_LOOP_F257.replace("257", "3")
     ("local_loop_f3", 3),
 ])
 def test_indecomposable_matches_idempotent_search(alg_dir, name, dim_bound):
-    alg = _parsed(alg_dir, name).build()
+    alg = parsed_algebra(alg_dir, name).build()
     checked = 0
     for rep in _all_representations(alg, dim_bound):
         if alg.p ** hom_dim(rep, rep) > 1 << 12:
@@ -252,7 +252,7 @@ _BUILT = {
 }
 
 
-def _parsed(alg_dir, name):
+def parsed_algebra(alg_dir, name):
     if name in _SHIPPED:
         return load_algebra_file(alg_dir / f"{name}.alg")
     return _BUILT[name]()
@@ -272,7 +272,7 @@ def _parsed(alg_dir, name):
     ("a2_f65521", 2),
 ])
 def test_enumerator_matches_python_int_reference(alg_dir, name, dim_bound):
-    alg = _parsed(alg_dir, name).build()
+    alg = parsed_algebra(alg_dir, name).build()
     got = [(rep.dims, [mat.tolist() for mat in rep.arrow_maps])
            for rep in _all_representations(alg, dim_bound)]
     assert got == _reference_representations(alg, dim_bound)
@@ -370,7 +370,7 @@ def test_simple_summand_certificate_is_exact(alg_dir, name, dim_bound):
     """Every tuple the brute enumeration drops before solving End M is
     decomposable by the exact test, and the three ranks decide exactly
     what the span containment of the reference decides."""
-    alg = _parsed(alg_dir, name).build()
+    alg = parsed_algebra(alg_dir, name).build()
     rejected = decomposable = 0
     for rep in _all_representations(alg, dim_bound):
         certified = _splits_off_simple(rep)

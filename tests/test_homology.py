@@ -1,7 +1,12 @@
+import itertools
+
 import numpy as np
 import pytest
+from test_corpus import parsed_algebra
 
 from siltlab import linalg, zoo
+from siltlab.corpus import enumerate_indecomposables
+from siltlab.harness import load_workbench
 from siltlab.homology import (
     BoundExceededError,
     default_resolution_bound,
@@ -15,6 +20,7 @@ from siltlab.homology import (
 )
 from siltlab.reps import (
     direct_sum,
+    dual,
     factorize,
     hom_dim,
     injective_module,
@@ -175,14 +181,73 @@ def test_d_sigma_projective_case(a2_algebra):
         assert respects_presentation(pres, simple_module(a2_algebra, v))
 
 
-def test_injective_envelope_essential(a3_wb, nak3_wb):
-    for wb in (a3_wb, nak3_wb):
-        for m in wb.members:
-            env = injective_envelope(m)
-            assert env.is_mono()
-            # the socle multiplicities of M and its envelope agree
-            assert ([s.shape[1] for s in socle_spans(m)]
-                    == [s.shape[1] for s in socle_spans(env.target)])
+# Beyond the shipped algebras: a non-monomial relation, under which the
+# path basis of A^op need not be that of A read backwards, a double arrow,
+# a loop and an oriented cycle.
+GENERIC = ["signed_square_f5", "kronecker_f3", "local_loop_f3",
+           "cycle2_length3_f2"]
+
+
+def test_injective_envelope_essential(alg_dir, a3_wb, nak3_wb):
+    members = [m for wb in (a3_wb, nak3_wb) for m in wb.members]
+    for name in GENERIC:
+        algebra = parsed_algebra(alg_dir, name).build()
+        members += enumerate_indecomposables(algebra, "brute", 3).members
+    for m in members:
+        env = injective_envelope(m)
+        assert env.source is m and env.is_natural() and env.is_mono()
+        # the socle multiplicities of M and its envelope agree
+        assert ([s.shape[1] for s in socle_spans(m)]
+                == [s.shape[1] for s in socle_spans(env.target)])
+
+
+@pytest.mark.parametrize("name", GENERIC)
+def test_injective_modules_of_generic_algebras(alg_dir, name):
+    """I(v) = D P(v) over A^op has socle S(v), one basis vector at u per
+    basis path u -> v of A, and Ext^1(S(u), I(v)) = 0 for every u, which
+    makes it injective (every finite-dimensional module is filtered by
+    simples)."""
+    algebra = parsed_algebra(alg_dir, name).build()
+    simples = [simple_module(algebra, u) for u in algebra.vertices]
+    for v, s in zip(algebra.vertices, simples):
+        iv = injective_module(algebra, v)
+        assert [b.shape[1] for b in socle_spans(iv)] == list(s.dims)
+        into_v = [path.start for _, path in algebra.paths_into(v)]
+        assert iv.dims == tuple(into_v.count(u) for u in algebra.vertices)
+        assert [ext_dim(1, su, iv) for su in simples] == [0] * len(simples)
+
+
+FAMILIES = {"a3": lambda p: zoo.linear_an(3, p),
+            "a4": lambda p: zoo.linear_an(4, p),
+            "a5": lambda p: zoo.linear_an(5, p),
+            "nakayama_a3": zoo.nakayama_a3,
+            "nakayama_cycle2": zoo.cyclic_nakayama_2}
+
+
+@pytest.mark.parametrize("name, p", [
+    *itertools.product(["a3", "a4", "nakayama_a3", "nakayama_cycle2"],
+                       [2, 3]),
+    ("a5", 2),
+])
+def test_ext_duality_on_the_pair_table(name, p):
+    """Ext^i_A(M, N) = Ext^i_A^op(D N, D M) for i = 1, 2 on every ordered
+    pair of corpus members: the Workbench's Ext table against minimal
+    resolutions of other modules over the opposite algebra.  D D M is M,
+    entry by entry, over the same algebra object."""
+    wb = load_workbench(FAMILIES[name](p))
+    duals = [dual(m) for m in wb.members]
+    for m, dm in zip(wb.members, duals):
+        ddm = dual(dm)
+        assert dm.algebra is wb.algebra.opposite
+        assert ddm.algebra is m.algebra and ddm.dims == m.dims
+        assert all(np.array_equal(a, b)
+                   for a, b in zip(ddm.arrow_maps, m.arrow_maps))
+    seen = []
+    for degree, (i, j) in itertools.product(
+            (1, 2), itertools.product(range(len(duals)), repeat=2)):
+        seen.append(wb.ext(degree, i, j))
+        assert seen[-1] == ext_dim(degree, duals[j], duals[i]), (degree, i, j)
+    assert any(seen)
 
 
 def test_resolution_exactness(nak3_wb):

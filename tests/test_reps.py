@@ -541,9 +541,10 @@ def test_direct_sum_takes_numpy_multiplicities(a3_algebra):
     assert summed.dims == (3, 1, 1)
 
 
-def test_direct_sum_rejects_a_summand_of_the_wrong_shape(a2_algebra):
-    # Representation does not check shapes; validate would report this one
-    bad = Representation(a2_algebra, (2, 2), [linalg.zeros(1, 1)])
-    assert validate(bad)
-    with pytest.raises(linalg.MalformedInputError, match="arrow alpha"):
-        direct_sum(a2_algebra, [simple_module(a2_algebra, "1"), bad])
+def test_representation_rejects_an_arrow_matrix_of_the_wrong_shape(
+        a2_algebra):
+    # alpha: 2 -> 1 must be a dims[0] x dims[1] matrix
+    for dims, shape in [((1, 1), (2, 3)), ((2, 2), (1, 1))]:
+        with pytest.raises(linalg.MalformedInputError,
+                           match=rf"arrow alpha: matrix shape \({shape[0]}"):
+            Representation(a2_algebra, dims, [linalg.zeros(*shape)])
