@@ -247,14 +247,13 @@ def _assign_names(algebra: Algebra, members: list[Representation]) -> list[str]:
     # (label, dimension vector, the layer that must be S(v), dim S(v))
     standards = [(f"S{v}", count([v]), _top_dims, count([v]))
                  for v in q.vertices]
-    standards += [(f"P{v}", count([path.end_in(q) for _, path
-                                   in algebra.paths_from(v)]), _top_dims,
+    groups = algebra.path_groups
+    standards += [(f"P{v}", tuple(len(g) for g in groups[vi]), _top_dims,
                    count([v]))
-                  for v in q.vertices]
-    standards += [(f"I{v}", count([path.start for _, path
-                                   in algebra.paths_into(v)]), _socle_dims,
-                   count([v]))
-                  for v in q.vertices]
+                  for vi, v in enumerate(q.vertices)]
+    standards += [(f"I{v}", tuple(len(row[vi]) for row in groups),
+                   _socle_dims, count([v]))
+                  for vi, v in enumerate(q.vertices)]
     names = []
     used: set[str] = set()
     for idx, m in enumerate(members):

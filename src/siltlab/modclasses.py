@@ -45,13 +45,11 @@ class MembershipWitness:
 
 def trace_spans(t: Representation, m: Representation) -> list[np.ndarray]:
     """Per-vertex spans of the trace submodule t_T(M)."""
-    alg = m.algebra
     basis = hom_space(t, m)
-    spans = [linalg.zeros(d, 0) for d in m.dims]
-    for f in basis:
-        spans = [np.hstack([s, mat])
-                 for s, mat in zip(spans, f.vertex_maps)]
-    return [linalg.column_space_basis(s, alg.p) for s in spans]
+    return [linalg.column_space_basis(
+                np.hstack([linalg.zeros(d, 0)]
+                          + [f.vertex_maps[vi] for f in basis]), m.algebra.p)
+            for vi, d in enumerate(m.dims)]
 
 
 def gen_contains(t: Representation, m: Representation) -> bool:

@@ -9,6 +9,11 @@ non-pivot paths become the basis classes of that degree.
 Relations must be length-homogeneous (every term of a relation has the
 same length); this covers monomial and commutativity relations, which is
 all the admissible presentations the workbench targets.
+
+The product table is checked for associativity at construction.  The
+opposite algebra A^op computes its own path basis and normal forms but
+not its table: reversing paths is an anti-isomorphism A^op -> A, so the
+table is transported from A's, which is already checked.
 """
 
 from __future__ import annotations
@@ -167,22 +172,20 @@ class Algebra:
     """A basic finite-dimensional algebra kQ/I with explicit path basis."""
 
     def __init__(self, quiver: Quiver, relations: RelationSet, p: int):
-        linalg.check_prime(p)
-        self.quiver = quiver
-        self.relations = relations
-        self.p = p
-        # (source, target) vertex indices of each arrow, in arrow order
-        self.arrow_ends = tuple(
-            (quiver.vertex_index(a.source), quiver.vertex_index(a.target))
-            for a in quiver.arrows)
-        self._opposite: Algebra | None = None
-        self._build()
+        self._build_basis(quiver, relations, p)
+        self._products = self._product_table()
+        self._check_associativity()
 
     @property
     def opposite(self) -> Algebra:
         """A^op: every arrow and every relation path reversed, the arrow
         order and the coefficients kept.  Built on first use and kept;
-        its opposite is this algebra."""
+        its opposite is this algebra.
+
+        Its path basis and normal forms are its own, but its product
+        table is transported from this one's, which is already checked:
+        reversal is an anti-isomorphism, so the table is associative and
+        generated by the arrows as this one is."""
         if self._opposite is None:
             q = self.quiver
             arrows = tuple(Arrow(a.name, a.target, a.source) for a in q.arrows)
@@ -190,19 +193,31 @@ class Algebra:
                 tuple((c, Path(path.end_in(q), path.arrows[::-1]))
                       for c, path in rel)
                 for rel in self.relations.relations)
-            op = Algebra(Quiver(q.vertices, arrows),
-                         RelationSet(relations,
-                                     self.relations.nilpotency_bound),
-                         self.p)
+            op = Algebra.__new__(Algebra)
+            op._build_basis(Quiver(q.vertices, arrows),
+                            RelationSet(relations,
+                                        self.relations.nilpotency_bound),
+                            self.p)
+            op._products = self._transported_table(op)
             op._opposite = self
             self._opposite = op
         return self._opposite
 
     # -- construction -------------------------------------------------
 
-    def _build(self):
-        q, p = self.quiver, self.p
-        m = self.relations.nilpotency_bound
+    def _build_basis(self, quiver: Quiver, relations: RelationSet, p: int):
+        """Everything but the product table: the normal forms degree by
+        degree, the path basis and its grouping by endpoints."""
+        linalg.check_prime(p)
+        self.quiver = q = quiver
+        self.relations = relations
+        self.p = p
+        # (source, target) vertex indices of each arrow, in arrow order
+        self.arrow_ends = tuple(
+            (q.vertex_index(a.source), q.vertex_index(a.target))
+            for a in q.arrows)
+        self._opposite: Algebra | None = None
+        m = relations.nilpotency_bound
         self._check_relations()
         paths = _enumerate_paths(q, m)
         self._cells: list[_DegreeCell] = []
@@ -230,8 +245,15 @@ class Algebra:
         self.basis: tuple[Path, ...] = tuple(basis)
         self.dim = len(basis)
         self.basis_index = {path: i for i, path in enumerate(self.basis)}
-        self._products = self._product_table()
-        self._check_associativity()
+        # path_groups[s][t]: the (basis index, path) pairs of the basis
+        # paths from vertex s to vertex t (indices), in basis order
+        n = len(q.vertices)
+        groups = [[[] for _ in range(n)] for _ in range(n)]
+        for i, path in enumerate(self.basis):
+            groups[q.vertex_index(path.start)][
+                q.vertex_index(path.end_in(q))].append((i, path))
+        self.path_groups = tuple(tuple(tuple(g) for g in row)
+                                 for row in groups)
 
     def _check_relations(self):
         q = self.quiver
@@ -311,8 +333,32 @@ class Algebra:
         table.flags.writeable = False
         return table
 
-    def mult(self, i: int, j: int) -> np.ndarray:
-        """Class of basis[i] . basis[j] (read-only)."""
+    def _transported_table(self, op: Algebra) -> np.ndarray:
+        """The product table of the opposite algebra op, read off this
+        one's.  Column k of R is the class in A of the k-th basis path of
+        op reversed; reversal is an anti-isomorphism, so
+        op[i, j] = R^-1 T(R e_j, R e_i), and R is invertible
+        (``linalg.invert`` raises otherwise)."""
+        p, d = self.p, self.dim
+        q = op.quiver
+        r = np.array([self.class_of(Path(path.end_in(q), path.arrows[::-1]))
+                      for path in op.basis],
+                     dtype=np.int64).reshape(len(op.basis), d).T
+        r_inv = linalg.invert(r, p)
+        # u[a, i, c] = T(e_a, R e_i)[c]
+        u = linalg.matmul(self._products.transpose(0, 2, 1).reshape(d * d, d),
+                          r, p).reshape(d, d, d).transpose(0, 2, 1)
+        # x[j, i, c] = T(R e_j, R e_i)[c]
+        x = linalg.matmul(r.T, u.reshape(d, d * d), p)
+        # table[i, j] = R^-1 x[j, i]
+        table = linalg.matmul(x.reshape(d * d, d), r_inv.T, p)
+        table = table.reshape(d, d, d).transpose(1, 0, 2).copy()
+        table.flags.writeable = False
+        return table
+
+    def mult(self, i: int, j) -> np.ndarray:
+        """Class of basis[i] . basis[j], read-only; for a list of indices
+        j, a copy with one row per index."""
         return self._products[i, j]
 
     def _check_associativity(self):
@@ -383,13 +429,14 @@ class Algebra:
 
     def paths_from(self, v: str) -> list[tuple[int, Path]]:
         """Basis classes of paths with source v, in basis order."""
-        return [(i, path) for i, path in enumerate(self.basis)
-                if path.start == v]
+        return sorted(itertools.chain.from_iterable(
+            self.path_groups[self.quiver.vertex_index(v)]))
 
     def paths_into(self, v: str) -> list[tuple[int, Path]]:
         """Basis classes of paths with target v, in basis order."""
-        return [(i, path) for i, path in enumerate(self.basis)
-                if path.end_in(self.quiver) == v]
+        t = self.quiver.vertex_index(v)
+        return sorted(itertools.chain.from_iterable(
+            row[t] for row in self.path_groups))
 
     def describe(self) -> dict:
         q = self.quiver

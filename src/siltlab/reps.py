@@ -208,25 +208,17 @@ def simple_module(algebra: Algebra, v: str) -> Representation:
 def projective_module(algebra: Algebra, v: str) -> Representation:
     """Re_v: basis the classes of paths with source v."""
     q = algebra.quiver
-    paths = algebra.paths_from(v)
-    by_vertex: dict[str, list[int]] = {u: [] for u in q.vertices}
-    for bi, path in paths:
-        by_vertex[path.end_in(q)].append(bi)
-    dims = [len(by_vertex[u]) for u in q.vertices]
+    groups = algebra.path_groups[q.vertex_index(v)]
+    indices = [[bi for bi, _ in group] for group in groups]
     maps = []
-    for arrow in q.arrows:
-        src_list = by_vertex[arrow.source]
-        tgt_list = by_vertex[arrow.target]
-        arrow_class = algebra.basis_index[
-            Path(arrow.source, (q.arrow_index(arrow.name),))
-        ]
-        mat = linalg.zeros(len(tgt_list), len(src_list))
-        for col, bi in enumerate(src_list):
-            prod = algebra.mult(arrow_class, bi)
-            for row, bj in enumerate(tgt_list):
-                mat[row, col] = prod[bj]
-        maps.append(mat)
-    return Representation(algebra, dims, maps, name=f"P({v})")
+    for ai, (u, w) in enumerate(algebra.arrow_ends):
+        arrow_class = algebra.basis_index[Path(q.vertices[u], (ai,))]
+        # entry [row, col]: coordinate indices[w][row] of the arrow times
+        # basis path indices[u][col]
+        products = algebra.mult(arrow_class, indices[u])
+        maps.append(products[:, indices[w]].T)
+    return Representation(algebra, [len(g) for g in groups], maps,
+                          name=f"P({v})")
 
 
 def dual(m: Representation) -> Representation:
@@ -258,21 +250,12 @@ def hom_from_projective(algebra: Algebra, v: str, pv: Representation,
     x is a vector in target's space at v; the basis path b: v -> u maps
     to (action of b) applied to x.  This realizes Hom(P(v), M) = M_v.
     """
-    q = algebra.quiver
-    paths = algebra.paths_from(v)
-    by_vertex: dict[str, list[Path]] = {u: [] for u in q.vertices}
-    for _, path in paths:
-        by_vertex[path.end_in(q)].append(path)
-    maps = []
-    for ui, u in enumerate(q.vertices):
-        cols = []
-        for path in by_vertex[u]:
-            cols.append(linalg.matmul(
-                target.path_action(path), x.reshape(-1, 1), algebra.p))
-        if cols:
-            maps.append(np.hstack(cols))
-        else:
-            maps.append(linalg.zeros(target.dims[ui], 0))
+    groups = algebra.path_groups[algebra.quiver.vertex_index(v)]
+    column = x.reshape(-1, 1)
+    maps = [np.hstack([linalg.zeros(d, 0)]
+                      + [linalg.matmul(target.path_action(path), column,
+                                       algebra.p) for _, path in group])
+            for d, group in zip(target.dims, groups)]
     return Morphism(pv, target, maps)
 
 

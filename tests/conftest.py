@@ -32,8 +32,9 @@ def decompose_or_none(m, corpus):
 
 
 def count_calls(monkeypatch, module, attr):
-    """Wrap module.attr in every siltlab module that binds it; return the
-    list of argument tuples it is called with."""
+    """Wrap module.attr in every siltlab module that binds it, or on the
+    class when module is a class (a method then receives self first);
+    return the list of argument tuples it is called with."""
     original = getattr(module, attr)
     calls = []
 
@@ -41,6 +42,9 @@ def count_calls(monkeypatch, module, attr):
         calls.append(args)
         return original(*args, **kwargs)
 
+    if isinstance(module, type):
+        monkeypatch.setattr(module, attr, counting)
+        return calls
     for name, sub in list(sys.modules.items()):
         if name.startswith("siltlab.") and vars(sub).get(attr) is original:
             monkeypatch.setattr(sub, attr, counting)

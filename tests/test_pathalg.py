@@ -1,11 +1,13 @@
 import copy
+import functools
 import itertools
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from test_corpus import CYCLE2_LENGTH4_F257
+from conftest import count_calls
+from test_corpus import CYCLE2_LENGTH4_F257, parsed_algebra
 
 from siltlab import zoo
 from siltlab.algfile import parse_algebra_file
@@ -180,6 +182,67 @@ def test_check_catches_an_associative_table_with_a_wrong_path(delta):
     with pytest.raises(AlgebraConstructionError,
                        match=r"basis path a1\*a2 is not the product"):
         alg._check_associativity()
+
+
+# A commutative square over F5 whose relation carries the coefficient 2.
+# Its arrow order makes A keep the path d*c through 3 in its basis and
+# A^op the reversed path through 2, whose class in A is b*a = 2 d*c.
+SQUARE_2_F5 = """field 5
+vertices 1 2 3 4
+arrow a: 1 -> 2
+arrow c: 1 -> 3
+arrow d: 3 -> 4
+arrow b: 2 -> 4
+relation b*a - 2*d*c
+"""
+
+_OPPOSITE_INPUTS = {
+    **zoo.STANDARD_FILES,
+    "linear_a5_f3": lambda: zoo.linear_an(5, 3),
+    **{name: functools.partial(parsed_algebra, None, name)
+       for name in ["signed_square_f5", "cycle2_length3_f2",
+                    "cyclic_nakayama_2_f3"]},
+    "square_2_f5": lambda: parse_algebra_file(SQUARE_2_F5),
+}
+
+
+def _reversal(alg, op):
+    """R: column k is the class in A of op's k-th basis path reversed."""
+    q = op.quiver
+    return np.stack([alg.class_of(Path(path.end_in(q), path.arrows[::-1]))
+                     for path in op.basis], axis=1)
+
+
+@pytest.mark.parametrize("name", _OPPOSITE_INPUTS)
+def test_opposite_table_is_built_from_scratch_one(monkeypatch, name):
+    """A^op's table is transported from A's, with no associativity check,
+    and equals the table of an algebra built from scratch on the reversed
+    quiver and relations, entry by entry, over the same path basis.  The
+    reversal matrix R is a permutation except on the F5 square, the one
+    input where R^-1 differs from R^T."""
+    alg = _OPPOSITE_INPUTS[name]().build()
+    q = alg.quiver
+    checks = count_calls(monkeypatch, Algebra, "_check_associativity")
+    op = alg.opposite
+    assert checks == []
+    monkeypatch.undo()
+    scratch = Algebra(
+        Quiver(q.vertices,
+               tuple(Arrow(a.name, a.target, a.source) for a in q.arrows)),
+        RelationSet(tuple(tuple((c, Path(path.end_in(q), path.arrows[::-1]))
+                                for c, path in rel)
+                          for rel in alg.relations.relations),
+                    alg.relations.nilpotency_bound),
+        alg.p)
+    assert op.basis == scratch.basis
+    assert np.array_equal(op._products, scratch._products)
+    assert op.opposite is alg
+    with pytest.raises(ValueError):
+        op.mult(0, 0)[0] = 1
+    r = _reversal(alg, op)
+    permutation = (np.isin(r, (0, 1)).all() and (r.sum(axis=0) == 1).all()
+                   and (r.sum(axis=1) == 1).all())
+    assert permutation == (name != "square_2_f5")
 
 
 def test_identity_element(a3_algebra):
