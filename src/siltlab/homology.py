@@ -9,6 +9,12 @@ dimension reads off as the index of the last nonzero resolution term.
 Possibly-infinite dimensions are reported as undecided at the bound,
 never coerced to a number.
 
+A cover P -> M is onto, so dim ker = dim P - dim M at each vertex: a
+resolution ends when the two dimension vectors agree, and its zero
+kernel is never computed.  A syzygy's arrow matrices are the
+coordinates of the arrows' images in canonical spans, read at the
+spans' pivot rows, where each span is an identity block.
+
 Each cover records the top vertex of each summand P(v) of its source.
 Ext and D_sigma then solve no Hom system: Hom(P(v), N) = N_v by
 f -> f(e_v) (Yoneda), so Hom(d, N) for a map d between two sums of
@@ -20,6 +26,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -28,13 +35,11 @@ from .reps import (
     Algebra,
     Morphism,
     Representation,
-    direct_sum,
     dual,
+    generator_images,
     hom_dim,
-    hom_from_projective,
     kernel,
-    morphism_out_of_sum,
-    projective_module,
+    projective_sum,
     radical_spans,
     zero_morphism,
     zero_representation,
@@ -56,21 +61,26 @@ def projective_cover(m: Representation) -> Morphism:
 
 def _cover(m: Representation) -> tuple[Morphism, tuple[int, ...]]:
     """The projective cover of m with the top vertex (index) of each
-    summand P(v) of its source, in summand order."""
+    summand P(v) of its source, in summand order.
+
+    The generators are the standard vectors completing rad M at each
+    vertex, and the cover's vertex maps are their path images, written
+    side by side; the source is the algebra's stored sum of P(v)."""
     cached = m._cache.get("projective_cover")
     if cached is not None:
         return cached
-    alg = m.algebra
-    parts_data: list[tuple[int, np.ndarray]] = []
+    tops: tuple[int, ...] = ()
+    blocks = [[linalg.zeros(d, 0)] for d in m.dims]
     for vi, rad in enumerate(radical_spans(m)):
+        if rad.shape[1] == m.dims[vi]:
+            continue  # no generator at vi
         comp, _ = linalg.basis_complement(rad)
-        parts_data.extend((vi, x) for x in comp.T)
-    projs = [projective_module(alg, alg.vertices[vi]) for vi, _ in parts_data]
-    parts = [hom_from_projective(alg, alg.vertices[vi], pv, m, x)
-             for (vi, x), pv in zip(parts_data, projs)]
-    cover = morphism_out_of_sum(direct_sum(alg, projs), m, parts)
-    cached = m._cache["projective_cover"] = (
-        cover, tuple(vi for vi, _ in parts_data))
+        tops += (vi,) * comp.shape[1]
+        for block, images in zip(blocks, generator_images(m, vi, comp)):
+            block.append(images)
+    cover = Morphism(projective_sum(m.algebra, tops), m,
+                     [np.hstack(block) for block in blocks])
+    cached = m._cache["projective_cover"] = (cover, tops)
     return cached
 
 
@@ -120,11 +130,22 @@ class Resolution:
                 f"{len(self.terms) - 1}"
             )
 
+    @cached_property
+    def _zero(self) -> Representation:
+        """term(i) for every i past the end of a terminated resolution."""
+        return zero_representation(self.resolved.algebra)
+
+    @cached_property
+    def _zero_differentials(self) -> tuple[Morphism, Morphism]:
+        """differential(i) past the end: into the last term, then 0 -> 0."""
+        return (zero_morphism(self._zero, self.terms[-1]),
+                zero_morphism(self._zero, self._zero))
+
     def term(self, i: int) -> Representation:
         if i < len(self.terms):
             return self.terms[i]
         self._check_decided()
-        return zero_representation(self.resolved.algebra)
+        return self._zero
 
     def term_tops(self, i: int) -> tuple[int, ...]:
         """The top vertex indices of term(i)'s summands P(v)."""
@@ -137,7 +158,8 @@ class Resolution:
         """d_i: term(i) -> term(i-1), i >= 1."""
         if i - 1 < len(self.differentials):
             return self.differentials[i - 1]
-        return zero_morphism(self.term(i), self.term(i - 1))
+        self._check_decided()
+        return self._zero_differentials[i > len(self.terms)]
 
 
 def minimal_resolution(m: Representation, max_length: int) -> Resolution:
@@ -165,13 +187,13 @@ def minimal_resolution(m: Representation, max_length: int) -> Resolution:
             res.differentials.append(incl.compose(cover))
         res.terms.append(cover.source)
         res.tops.append(tops)
-        next_kernel, next_incl = kernel(cover)
-        if next_kernel.is_zero():
+        # a cover is onto, so its kernel is zero when the dimensions agree
+        if cover.source.dims == syzygy.dims:
             res.status = "terminated"
             res.length = len(res.terms) - 1
             res.frontier = None
         else:
-            res.frontier = (next_kernel, next_incl)
+            res.frontier = kernel(cover)
     return res
 
 

@@ -217,6 +217,10 @@ class Algebra:
             (q.vertex_index(a.source), q.vertex_index(a.target))
             for a in q.arrows)
         self._opposite: Algebra | None = None
+        # projective modules built on first use and kept as long as the
+        # algebra: P(v) under the vertex name, and the sum of the P(v)
+        # over a tuple of vertex indices under that tuple
+        self._projectives: dict = {}
         m = relations.nilpotency_bound
         self._check_relations()
         paths = _enumerate_paths(q, m)

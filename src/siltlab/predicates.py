@@ -30,6 +30,7 @@ from . import linalg
 from .corpus import Corpus
 from .homology import (
     BoundExceededError,
+    ProjectivePresentation,
     default_resolution_bound,
     ext_dim,
     minimal_presentation,
@@ -101,6 +102,7 @@ class Workbench:
         self._ext: dict[tuple[int, int, int], int] = {}
         self._pd: dict[int, int | None] = {}
         self._dsig: dict[tuple[int, int], bool] = {}
+        self._pres: dict[int, ProjectivePresentation] = {}
         self._trace: dict[tuple[int, int], list[np.ndarray]] = {}
         self._subfac: dict[tuple[int, int], tuple[bool, bool]] = {}
         self._gen: dict[Candidate, tuple[int, ...]] = {}
@@ -163,8 +165,10 @@ class Workbench:
     def dsig(self, i: int, j: int) -> bool:
         key = (i, j)
         if key not in self._dsig:
-            pres = minimal_presentation(self.members[i])
-            self._dsig[key] = respects_presentation(pres, self.members[j])
+            if i not in self._pres:
+                self._pres[i] = minimal_presentation(self.members[i])
+            self._dsig[key] = respects_presentation(self._pres[i],
+                                                    self.members[j])
         return self._dsig[key]
 
     def pair_trace(self, i: int, j: int) -> list[np.ndarray]:

@@ -206,7 +206,14 @@ def simple_module(algebra: Algebra, v: str) -> Representation:
 
 
 def projective_module(algebra: Algebra, v: str) -> Representation:
-    """Re_v: basis the classes of paths with source v."""
+    """Re_v: basis the classes of paths with source v.
+
+    Built on first use and stored on the algebra: every call returns this
+    one P(v), which lives as long as the algebra does.  It is shared, so
+    callers must not rename or change it."""
+    pv = algebra._projectives.get(v)
+    if pv is not None:
+        return pv
     q = algebra.quiver
     groups = algebra.path_groups[q.vertex_index(v)]
     indices = [[bi for bi, _ in group] for group in groups]
@@ -217,8 +224,20 @@ def projective_module(algebra: Algebra, v: str) -> Representation:
         # basis path indices[u][col]
         products = algebra.mult(arrow_class, indices[u])
         maps.append(products[:, indices[w]].T)
-    return Representation(algebra, [len(g) for g in groups], maps,
-                          name=f"P({v})")
+    pv = algebra._projectives[v] = Representation(
+        algebra, [len(g) for g in groups], maps, name=f"P({v})")
+    return pv
+
+
+def projective_sum(algebra: Algebra, tops: tuple[int, ...]) -> Representation:
+    """The direct sum of the P(v) over the vertex indices tops, in order:
+    built once per tuple and stored on the algebra like P(v)."""
+    total = algebra._projectives.get(tops)
+    if total is None:
+        total = algebra._projectives[tops] = direct_sum(
+            algebra, [projective_module(algebra, algebra.vertices[vi])
+                      for vi in tops])
+    return total
 
 
 def dual(m: Representation) -> Representation:
@@ -243,6 +262,34 @@ def regular_module(algebra: Algebra) -> Representation:
     return summed
 
 
+def generator_images(m: Representation, vi: int,
+                     xs: np.ndarray) -> list[np.ndarray]:
+    """Per vertex w, the maps P(v) -> M at w (v = vertices[vi]) that send
+    e_v to the columns x of xs, side by side: M_pi x for each basis path
+    pi: v -> w, the first column's images first, each in path order.
+
+    M_pi x is pi's last arrow applied to the image of pi's prefix, each
+    prefix computed once per call for all the columns of xs."""
+    p = m.algebra.p
+    images = {(): xs}
+
+    def image(arrows: tuple[int, ...]) -> np.ndarray:
+        out = images.get(arrows)
+        if out is None:
+            out = images[arrows] = linalg.matmul(
+                m.arrow_maps[arrows[-1]], image(arrows[:-1]), p)
+        return out
+
+    maps = []
+    for d, group in zip(m.dims, m.algebra.path_groups[vi]):
+        cols = [image(path.arrows) for _, path in group]
+        # stacked as (row, column of xs, path), so each row lists the
+        # images column by column
+        maps.append(np.stack(cols, axis=2).reshape(d, -1) if cols and d
+                    else linalg.zeros(d, xs.shape[1] * len(cols)))
+    return maps
+
+
 def hom_from_projective(algebra: Algebra, v: str, pv: Representation,
                         target: Representation, x: np.ndarray) -> Morphism:
     """The morphism P(v) -> target sending the generator e_v to x.
@@ -250,13 +297,9 @@ def hom_from_projective(algebra: Algebra, v: str, pv: Representation,
     x is a vector in target's space at v; the basis path b: v -> u maps
     to (action of b) applied to x.  This realizes Hom(P(v), M) = M_v.
     """
-    groups = algebra.path_groups[algebra.quiver.vertex_index(v)]
-    column = x.reshape(-1, 1)
-    maps = [np.hstack([linalg.zeros(d, 0)]
-                      + [linalg.matmul(target.path_action(path), column,
-                                       algebra.p) for _, path in group])
-            for d, group in zip(target.dims, groups)]
-    return Morphism(pv, target, maps)
+    vi = algebra.quiver.vertex_index(v)
+    return Morphism(pv, target,
+                    generator_images(target, vi, x.reshape(-1, 1)))
 
 
 # ---------------------------------------------------------------------------
@@ -327,20 +370,25 @@ def _canonical_spans(n: Representation, spans: list[np.ndarray]):
 def sub_representation(n: Representation, spans: list[np.ndarray]):
     """Subrepresentation on per-vertex column spans (must be action-closed).
 
+    A canonical span has an identity block at its pivot rows (the first
+    nonzero entry of each column), so the coordinates of a vector in it
+    are that vector's entries at those rows: each arrow's matrix is read
+    there, and one product checks that the span holds the images.
+
     Returns (sub, inclusion).
     """
     alg = n.algebra
     p = alg.p
     basis = _canonical_spans(n, spans)
-    dims = [b.shape[1] for b in basis]
+    pivots = [(b != 0).argmax(axis=0) if b.size else [] for b in basis]
     maps = []
     for ai, (u, w) in enumerate(alg.arrow_ends):
-        rhs = linalg.matmul(n.arrow_maps[ai], basis[u], p)
-        sol = linalg.solve(basis[w], rhs, p)
-        if sol is None:
+        image = linalg.matmul(n.arrow_maps[ai], basis[u], p)
+        coords = image[pivots[w]]
+        if not np.array_equal(linalg.matmul(basis[w], coords, p), image):
             raise MalformedInputError("spans are not closed under the action")
-        maps.append(sol)
-    sub = Representation(alg, dims, maps)
+        maps.append(coords)
+    sub = Representation(alg, [b.shape[1] for b in basis], maps)
     incl = Morphism(sub, n, basis)
     return sub, incl
 
@@ -469,17 +517,6 @@ def direct_sum(algebra: Algebra, reps: list[Representation],
             c0 += cols
         maps.append(mat)
     return Representation(algebra, dims, maps)
-
-
-def morphism_out_of_sum(total: Representation, target: Representation,
-                        parts: list[Morphism]) -> Morphism:
-    """The morphism total -> target whose k-th block is parts[k], for
-    total the direct sum of the parts' sources: at each vertex the parts'
-    matrices side by side."""
-    maps = [np.hstack([linalg.zeros(d, 0)]
-                      + [f.vertex_maps[i] for f in parts])
-            for i, d in enumerate(target.dims)]
-    return Morphism(total, target, maps)
 
 
 def morphism_into_sum(source: Representation, total: Representation,
@@ -706,6 +743,7 @@ __all__ = [
     "direct_sum",
     "dual",
     "factorize",
+    "generator_images",
     "hom_dim",
     "hom_from_projective",
     "hom_space",
@@ -714,8 +752,8 @@ __all__ = [
     "is_isomorphic",
     "kernel",
     "morphism_into_sum",
-    "morphism_out_of_sum",
     "projective_module",
+    "projective_sum",
     "quotient_representation",
     "radical_of_spans",
     "radical_spans",

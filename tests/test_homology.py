@@ -19,6 +19,8 @@ from siltlab.homology import (
     respects_presentation,
 )
 from siltlab.reps import (
+    Morphism,
+    Representation,
     direct_sum,
     dual,
     factorize,
@@ -285,6 +287,17 @@ _YONEDA_INPUTS = [
 ]
 
 
+def _corpus(alg_dir, name, source):
+    """The Workbench corpus of a shipped algebra (or of a3, a4 over F3),
+    or the brute corpus up to dimension 3 of a generic one."""
+    if source == "workbench":
+        parsed = (zoo.linear_an(int(name[1]), 3) if name.endswith("_f3")
+                  else parsed_algebra(alg_dir, name))
+        return load_workbench(parsed).members
+    algebra = parsed_algebra(alg_dir, name).build()
+    return enumerate_indecomposables(algebra, "brute", 3).members
+
+
 @pytest.mark.parametrize("name, source", _YONEDA_INPUTS,
                          ids=[name for name, _ in _YONEDA_INPUTS])
 def test_yoneda_ext_and_d_sigma_match_hom_systems(alg_dir, name, source):
@@ -293,13 +306,7 @@ def test_yoneda_ext_and_d_sigma_match_hom_systems(alg_dir, name, source):
     of the shipped corpora (F2, and a3, a4 over F3) and of the brute
     corpora up to dimension 3 of the generic algebras, where a cover
     term has several summands at one vertex."""
-    if source == "workbench":
-        parsed = (zoo.linear_an(int(name[1]), 3) if name.endswith("_f3")
-                  else parsed_algebra(alg_dir, name))
-        members = load_workbench(parsed).members
-    else:
-        algebra = parsed_algebra(alg_dir, name).build()
-        members = enumerate_indecomposables(algebra, "brute", 3).members
+    members = _corpus(alg_dir, name, source)
     for m, n in itertools.product(members, repeat=2):
         for i in (1, 2, 3):
             assert ext_dim(i, m, n) == _ext_reference(i, m, n), (i, m, n)
@@ -326,3 +333,122 @@ def test_resolution_exactness(nak3_wb):
             )
             rank_d = sum(linalg.rank(mat, p) for mat in d_i.vertex_maps)
             assert rank_d == ker_prev
+
+
+def _reference_cover(m):
+    """The projective cover as one morphism per generator: the standard
+    vectors x completing rad M, each basis path pi: v -> w sent to its
+    full action matrix times x, and the parts put side by side out of a
+    newly built sum of the P(v)."""
+    alg = m.algebra
+    p = alg.p
+    gens = []
+    for vi, rad in enumerate(radical_spans(m)):
+        comp, _ = linalg.basis_complement(rad)
+        gens.extend((vi, x.reshape(-1, 1)) for x in comp.T)
+    maps = [[linalg.zeros(d, 0)] for d in m.dims]
+    for vi, x in gens:
+        for w, group in enumerate(alg.path_groups[vi]):
+            maps[w].extend(linalg.matmul(m.path_action(path), x, p)
+                           for _, path in group)
+    source = direct_sum(alg, [projective_module(alg, alg.vertices[vi])
+                              for vi, _ in gens])
+    cover = Morphism(source, m, [np.hstack(cols) for cols in maps])
+    return cover, tuple(vi for vi, _ in gens)
+
+
+def _reference_kernel(f):
+    """ker f on the canonical spans of the vertex kernels, each arrow's
+    matrix by solving for the coordinates of its image."""
+    alg = f.source.algebra
+    p = alg.p
+    basis = [linalg.column_space_basis(linalg.kernel(mat, p), p)
+             for mat in f.vertex_maps]
+    maps = [linalg.solve(basis[w], linalg.matmul(f.source.arrow_maps[ai],
+                                                 basis[u], p), p)
+            for ai, (u, w) in enumerate(alg.arrow_ends)]
+    sub = Representation(alg, [b.shape[1] for b in basis], maps)
+    return sub, Morphism(sub, f.source, basis)
+
+
+def _reference_resolution(m, max_length):
+    """Covers of syzygies with each kernel computed, ending when it is
+    zero: (terms, tops, differentials, augmentation, frontier, length)."""
+    terms, tops, differentials = [], [], []
+    augmentation = None
+    frontier = (m, None)
+    while frontier is not None and len(terms) <= max_length:
+        syzygy, incl = frontier
+        cover, top = _reference_cover(syzygy)
+        if incl is None:
+            augmentation = cover
+        else:
+            differentials.append(incl.compose(cover))
+        terms.append(cover.source)
+        tops.append(top)
+        frontier = _reference_kernel(cover)
+        if frontier[0].is_zero():
+            frontier = None
+    length = len(terms) - 1 if frontier is None else None
+    return terms, tops, differentials, augmentation, frontier, length
+
+
+def _same_rep(a, b):
+    return (a.algebra is b.algebra and a.dims == b.dims and a.name == b.name
+            and all(x.shape == y.shape and np.array_equal(x, y)
+                    for x, y in zip(a.arrow_maps, b.arrow_maps, strict=True)))
+
+
+def _same_map(f, g):
+    return (_same_rep(f.source, g.source) and _same_rep(f.target, g.target)
+            and all(x.shape == y.shape and np.array_equal(x, y)
+                    for x, y in zip(f.vertex_maps, g.vertex_maps,
+                                    strict=True)))
+
+
+@pytest.mark.parametrize("name, source", _YONEDA_INPUTS,
+                         ids=[name for name, _ in _YONEDA_INPUTS])
+def test_resolutions_match_covers_with_every_kernel(alg_dir, name, source):
+    """Every resolution, out to the default bound, entry by entry against
+    covers built one generator at a time and kernels solved for their
+    arrow matrices, ending only on a zero kernel: the resolution reads
+    its covers from memoized path images, its syzygies at pivot rows and
+    its end from dimension counts, and must build the same terms."""
+    members = _corpus(alg_dir, name, source)
+    algebra = members[0].algebra
+    bound = default_resolution_bound(algebra)
+    members += [simple_module(algebra, v) for v in algebra.vertices]
+    for member in members:
+        # a copy, so no cached resolution or cover is read
+        m = Representation(algebra, member.dims, member.arrow_maps,
+                           member.name)
+        res = minimal_resolution(m, bound)
+        terms, tops, differentials, augmentation, frontier, length = (
+            _reference_resolution(m, bound))
+        assert len(res.terms) == len(terms) and res.tops == tops, m
+        assert all(_same_rep(a, b) for a, b in zip(res.terms, terms)), m
+        assert len(res.differentials) == len(differentials), m
+        assert all(_same_map(f, g) for f, g in zip(res.differentials,
+                                                   differentials)), m
+        assert _same_map(res.augmentation, augmentation), m
+        if length is None:
+            assert res.status == "truncated", m
+            assert _same_rep(res.frontier[0], frontier[0]), m
+            assert _same_map(res.frontier[1], frontier[1]), m
+            assert projective_dimension(m, bound) is None
+            continue
+        assert (res.status, res.length, res.frontier) == (
+            "terminated", length, None), m
+        assert projective_dimension(m, bound) == length
+        # past the end: one zero term, and zero maps into the last term
+        # and then between zero terms, each built once
+        zero = res.term(length + 1)
+        assert zero.is_zero() and res.term(length + 3) is zero
+        assert res.term_tops(length + 1) == ()
+        into_last = res.differential(length + 1)
+        assert into_last.is_zero() and into_last.source is zero
+        assert into_last.target is res.terms[length]
+        beyond = res.differential(length + 2)
+        assert beyond.is_zero() and beyond.source is beyond.target is zero
+        assert res.differential(length + 1) is into_last
+        assert res.differential(length + 4) is beyond

@@ -6,7 +6,14 @@ import numpy as np
 import pytest
 from conftest import count_calls, decompose_or_none, whole_sum
 
-from siltlab import harness, linalg, modclasses, predicates, reps
+from siltlab import (
+    harness,
+    homology,
+    linalg,
+    modclasses,
+    predicates,
+    reps,
+)
 from siltlab.algfile import load_algebra_file
 from siltlab.homology import BoundExceededError
 from siltlab.predicates import (
@@ -247,6 +254,15 @@ def test_subfac_facsub_computed_once_per_member_and_vertex(a3_wb,
     del calls[:]
     assert harness.classify(wb) == first
     assert calls == []
+
+
+def test_dsig_reads_each_presentation_once(nak3_wb, monkeypatch):
+    wb = Workbench(nak3_wb.corpus)
+    calls = count_calls(monkeypatch, homology, "minimal_presentation")
+    n = len(wb.members)
+    table = [[wb.dsig(i, j) for j in range(n)] for i in range(n)]
+    assert [m for m, in calls] == wb.members
+    assert any(map(all, table)) and not all(map(all, table))
 
 
 def test_sincerity_square_builds_no_direct_sum(a3_wb, monkeypatch):

@@ -1,13 +1,17 @@
 import functools
+import gc
 import itertools
+import weakref
 
 import numpy as np
 import pytest
+from conftest import count_calls
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from siltlab import linalg, zoo
+from siltlab import linalg, reps, zoo
 from siltlab.harness import load_workbench
+from siltlab.homology import projective_dimension
 from siltlab.reps import (
     Morphism,
     Representation,
@@ -21,8 +25,8 @@ from siltlab.reps import (
     injective_module,
     is_isomorphic,
     morphism_into_sum,
-    morphism_out_of_sum,
     projective_module,
+    projective_sum,
     quotient_representation,
     radical_of_spans,
     radical_spans,
@@ -415,15 +419,14 @@ def test_is_isomorphic_matches_krull_schmidt():
             assert is_isomorphic(m, n) is (a == b), (p, a, b)
 
 
-def _assert_blocks(f, parts, axis):
-    """Part k of a map into (axis 0) or out of (axis 1) a sum is its k-th
-    block of rows or columns at every vertex."""
+def _assert_blocks(f, parts):
+    """Part k of a map into a sum is its k-th block of rows at every
+    vertex."""
     offsets = [0] * len(f.vertex_maps)
     for part in parts:
         for vi, mat in enumerate(part.vertex_maps):
-            d = mat.shape[axis]
-            block = np.take(f.vertex_maps[vi],
-                            range(offsets[vi], offsets[vi] + d), axis=axis)
+            d = mat.shape[0]
+            block = f.vertex_maps[vi][offsets[vi]:offsets[vi] + d]
             assert np.array_equal(block, mat)
             offsets[vi] += d
 
@@ -433,23 +436,15 @@ def test_sum_maps_have_the_parts_as_blocks(a3_wb):
     members = a3_wb.members
     for m in members:
         into_parts = [f for n in members for f in hom_space(m, n)]
-        out_parts = [f for n in members for f in hom_space(n, m)]
-        assert into_parts and out_parts
+        assert into_parts
         for parts in (into_parts, []):
             total = direct_sum(alg, [f.target for f in parts])
             into = morphism_into_sum(m, total, parts)
             assert (into.source, into.target) == (m, total)
             assert into.is_natural()
-            _assert_blocks(into, parts, 0)
-        for parts in (out_parts, []):
-            total = direct_sum(alg, [f.source for f in parts])
-            out = morphism_out_of_sum(total, m, parts)
-            assert (out.source, out.target) == (total, m)
-            assert out.is_natural()
-            _assert_blocks(out, parts, 1)
+            _assert_blocks(into, parts)
         # with no parts the sum is zero and so is every vertex map
         assert morphism_into_sum(m, direct_sum(alg, []), []).is_zero()
-        assert morphism_out_of_sum(direct_sum(alg, []), m, []).is_zero()
 
 
 @functools.cache
@@ -548,3 +543,81 @@ def test_representation_rejects_an_arrow_matrix_of_the_wrong_shape(
         with pytest.raises(linalg.MalformedInputError,
                            match=rf"arrow alpha: matrix shape \({shape[0]}"):
             Representation(a2_algebra, dims, [linalg.zeros(*shape)])
+
+
+# ---------------------------------------------------------------------------
+# subrepresentations, stored projectives and the kernels of a resolution
+
+
+@pytest.mark.parametrize("fixture", ["a2_wb", "a3_wb", "nak3_wb", "cyc2_wb",
+                                     "a4_wb"])
+def test_sub_representation_rejects_spans_that_are_not_closed(request,
+                                                              fixture):
+    """The standard vectors completing rad M span no submodule of a module
+    with nonzero radical: an arrow sends some of them into rad M."""
+    wb = request.getfixturevalue(fixture)
+    rejected = 0
+    for m in [*wb.members, regular_module(wb.algebra)]:
+        rad = radical_spans(m)
+        if not any(r.shape[1] for r in rad):
+            continue
+        top = [linalg.basis_complement(r)[0] for r in rad]
+        with pytest.raises(linalg.MalformedInputError, match="not closed"):
+            sub_representation(m, top)
+        rejected += 1
+    assert rejected
+
+
+@settings(max_examples=60)
+@given(_summands_and_multiplicities(), st.integers(0, 2**32 - 1),
+       st.integers(1, 3))
+def test_sub_representation_matches_solved_coordinates(drawn, seed,
+                                                       n_vectors):
+    """On the submodule generated by random vectors, given by redundant
+    spanning sets, each arrow's matrix reads what solving for
+    the coordinates of its image in the canonical spans gives."""
+    alg, summands, mults = drawn
+    m = direct_sum(alg, summands, mults)
+    p = alg.p
+    rng = np.random.default_rng(seed)
+    vectors = [rng.integers(0, p, size=m.total_dim) for _ in range(n_vectors)]
+    # the closed spans, after random combinations of their columns
+    spans = [np.hstack([linalg.matmul(s, rng.integers(0, p, size=(
+        s.shape[1], 2)), p), s]) for s in span_closure(m, vectors)]
+    sub, incl = sub_representation(m, spans)
+    basis = incl.vertex_maps
+    for ai, (u, w) in enumerate(alg.arrow_ends):
+        image = linalg.matmul(m.arrow_maps[ai], basis[u], p)
+        assert np.array_equal(sub.arrow_maps[ai],
+                              linalg.solve(basis[w], image, p))
+    assert incl.is_natural() and incl.is_mono()
+
+
+def test_projectives_are_stored_on_their_algebra():
+    """P(v) and the sums of P(v) that covers use are built once per
+    algebra and go with it."""
+    algebra = zoo.linear_an(3).build()
+    pv = projective_module(algebra, "2")
+    total = projective_sum(algebra, (2, 1, 1))
+    assert projective_module(algebra, "2") is pv
+    assert projective_sum(algebra, (2, 1, 1)) is total
+    assert total.dims == (3, 3, 1) and total.name == ""
+    refs = [weakref.ref(pv), weakref.ref(total)]
+    del algebra, pv, total
+    gc.collect()
+    assert [ref() for ref in refs] == [None, None]
+
+
+def test_resolution_takes_one_kernel_per_syzygy(monkeypatch):
+    """A resolution that ends at length n computes n kernels: the kernel
+    of its last cover is zero by a dimension count."""
+    wb = load_workbench(zoo.nakayama_a3())
+    calls = count_calls(monkeypatch, reps, "kernel")
+    lengths = set()
+    for member in wb.members:
+        m = Representation(wb.algebra, member.dims, member.arrow_maps)
+        del calls[:]
+        n = projective_dimension(m)
+        assert len(calls) == n
+        lengths.add(n)
+    assert lengths == {0, 1, 2}
